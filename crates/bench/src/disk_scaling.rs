@@ -1,18 +1,16 @@
-//! Disk-mode fetch-path experiment (beyond the paper): the same
-//! disk-backed search at 1, 2, 4, and 8 workers, with parent fetches
-//! routed two ways — through the legacy worker-0 **funnel** (one worker
-//! streams every parent pair through a bounded channel) and **direct**
-//! (every worker reads the shared segment store concurrently, the
-//! DESIGN §13 engine). Two claims are under test:
+//! Disk-mode thread-scaling experiment (beyond the paper): the same
+//! disk-backed search at 1, 2, 4, and 8 workers, every worker fetching its
+//! parents concurrently from the shared segment store (the DESIGN §13
+//! engine). Two claims are under test:
 //!
 //! 1. The answer and the I/O are identical down every column — `n`,
 //!    `products`, disk reads/writes and bytes are a pure function of the
-//!    search, not of the fetch path or the worker count (checked
-//!    unconditionally, on any machine).
-//! 2. Once real parallelism is available, direct fetches beat the funnel
-//!    on wall time, because the funnel serializes all segment reads
-//!    behind one thread ([`assert_direct_beats_funnel`], gated like the
-//!    memory scaling assertion on machines with at least 4 cores).
+//!    search, not of the worker count (checked unconditionally, on any
+//!    machine).
+//! 2. Once real parallelism is available, 8 workers beat 1 on wall time:
+//!    concurrent segment reads and refinements pay off
+//!    ([`assert_disk_scaling`], gated like the memory scaling assertion on
+//!    machines with at least 4 cores).
 
 use crate::report::DiskScalingRow;
 use crate::runners::format_row;
@@ -24,26 +22,26 @@ use tane_util::Stopwatch;
 /// Worker counts of the grid (same as the memory scaling experiment).
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// Runs and prints the funnel-vs-direct grid; returns the structured rows.
+/// Runs and prints the thread grid; returns the structured rows.
 pub fn run(scale: Scale) -> Vec<DiskScalingRow> {
     let relation = workload(scale);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "Disk fetch paths: {} rows x {} attributes, max LHS 3, {} MiB cache, workers {:?}, {} core(s)",
+        "Disk thread scaling: {} rows x {} attributes, max LHS 3, {} MiB cache, workers {:?}, {} core(s)",
         relation.num_rows(),
         relation.num_attrs(),
         SCALING_CACHE_BYTES >> 20,
         THREADS,
         cores
     );
-    let widths = [7usize, 7, 6, 9, 9, 8, 8, 12, 12, 9, 6];
+    let widths = [7usize, 6, 9, 9, 8, 8, 12, 12, 9, 6];
     println!(
         "{}",
         format_row(
             &widths,
             &[
-                "Mode", "Threads", "N", "Time(s)", "Stall(s)", "Reads", "Writes", "Read(B)",
-                "Write(B)", "Evicts", "Pins"
+                "Threads", "N", "Time(s)", "Stall(s)", "Reads", "Writes", "Read(B)", "Write(B)",
+                "Evicts", "Pins"
             ]
             .map(String::from)
         )
@@ -51,109 +49,97 @@ pub fn run(scale: Scale) -> Vec<DiskScalingRow> {
 
     let mut rows = Vec::new();
     let mut reference: Option<(usize, usize, u64, u64, u64, u64)> = None;
-    for mode in ["funnel", "direct"] {
-        for &threads in &THREADS {
-            let mut config = TaneConfig {
-                storage: Storage::Disk {
-                    cache_bytes: SCALING_CACHE_BYTES,
-                },
-                threads,
-                ..TaneConfig::default()
-            }
-            .with_max_lhs(3);
-            if mode == "funnel" {
-                config = config.with_fetch_funnel();
-            }
-            let sw = Stopwatch::start();
-            let result = discover_fds(&relation, &config).expect("disk-scaling run failed");
-            let secs = sw.elapsed_secs();
-            let s = &result.stats;
-            let row = DiskScalingRow {
-                mode: mode.to_string(),
-                threads,
-                cores,
-                n: result.fds.len(),
-                secs,
-                fetch_stall_secs: s.fetch_stall.as_secs_f64(),
-                products: s.products,
-                disk_reads: s.disk_reads,
-                disk_writes: s.disk_writes,
-                disk_bytes_read: s.disk_bytes_read,
-                disk_bytes_written: s.disk_bytes_written,
-                store_evictions: s.store_evictions,
-                store_pins: s.store_pins,
-            };
-            // The determinism contract, checked on every machine: neither
-            // the fetch path nor the worker count may change the answer or
-            // the I/O the search performs.
-            let cols = (
-                row.n,
-                row.products,
-                row.disk_reads,
-                row.disk_writes,
-                row.disk_bytes_read,
-                row.disk_bytes_written,
-            );
-            match reference {
-                None => reference = Some(cols),
-                Some(r) => assert_eq!(
-                    r, cols,
-                    "{mode}/threads={threads} changed the output or the I/O"
-                ),
-            }
-            println!(
-                "{}",
-                format_row(
-                    &widths,
-                    &[
-                        row.mode.clone(),
-                        row.threads.to_string(),
-                        row.n.to_string(),
-                        format!("{:.3}", row.secs),
-                        format!("{:.3}", row.fetch_stall_secs),
-                        row.disk_reads.to_string(),
-                        row.disk_writes.to_string(),
-                        row.disk_bytes_read.to_string(),
-                        row.disk_bytes_written.to_string(),
-                        row.store_evictions.to_string(),
-                        row.store_pins.to_string(),
-                    ]
-                )
-            );
-            rows.push(row);
+    for &threads in &THREADS {
+        let config = TaneConfig {
+            storage: Storage::Disk {
+                cache_bytes: SCALING_CACHE_BYTES,
+            },
+            threads,
+            ..TaneConfig::default()
         }
+        .with_max_lhs(3);
+        let sw = Stopwatch::start();
+        let result = discover_fds(&relation, &config).expect("disk-scaling run failed");
+        let secs = sw.elapsed_secs();
+        let s = &result.stats;
+        let row = DiskScalingRow {
+            threads,
+            cores,
+            n: result.fds.len(),
+            secs,
+            fetch_stall_secs: s.fetch_stall.as_secs_f64(),
+            products: s.products,
+            disk_reads: s.disk_reads,
+            disk_writes: s.disk_writes,
+            disk_bytes_read: s.disk_bytes_read,
+            disk_bytes_written: s.disk_bytes_written,
+            store_evictions: s.store_evictions,
+            store_pins: s.store_pins,
+        };
+        // The determinism contract, checked on every machine: the worker
+        // count may not change the answer or the I/O the search performs.
+        let cols = (
+            row.n,
+            row.products,
+            row.disk_reads,
+            row.disk_writes,
+            row.disk_bytes_read,
+            row.disk_bytes_written,
+        );
+        match reference {
+            None => reference = Some(cols),
+            Some(r) => assert_eq!(r, cols, "threads={threads} changed the output or the I/O"),
+        }
+        println!(
+            "{}",
+            format_row(
+                &widths,
+                &[
+                    row.threads.to_string(),
+                    row.n.to_string(),
+                    format!("{:.3}", row.secs),
+                    format!("{:.3}", row.fetch_stall_secs),
+                    row.disk_reads.to_string(),
+                    row.disk_writes.to_string(),
+                    row.disk_bytes_read.to_string(),
+                    row.disk_bytes_written.to_string(),
+                    row.store_evictions.to_string(),
+                    row.store_pins.to_string(),
+                ]
+            )
+        );
+        rows.push(row);
     }
     println!();
     rows
 }
 
-/// `--assert-scaling` for the disk grid: at 8 workers, direct concurrent
-/// fetches must finish before the worker-0 funnel. Like the memory gate,
-/// the comparison only means something with real parallelism, so it skips
-/// loudly below 4 cores.
-pub fn assert_direct_beats_funnel(rows: &[DiskScalingRow]) -> Result<(), String> {
+/// `--assert-scaling` for the disk grid: 8 workers must finish before 1.
+/// Like the memory gate, the comparison only means something with real
+/// parallelism, so it skips loudly below 4 cores.
+pub fn assert_disk_scaling(rows: &[DiskScalingRow]) -> Result<(), String> {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if cores < 4 {
         eprintln!(
             "assert-disk-scaling: SKIPPED — only {cores} core(s) available; \
-             the funnel-vs-direct wall-time comparison needs at least 4"
+             the 8-vs-1-thread wall-time comparison needs at least 4"
         );
         return Ok(());
     }
-    let wall = |mode: &str| {
+    let wall = |threads: usize| {
         rows.iter()
-            .find(|r| r.mode == mode && r.threads == 8)
+            .find(|r| r.threads == threads)
             .map(|r| r.secs)
-            .ok_or_else(|| format!("assert-disk-scaling: no {mode} row at 8 threads"))
+            .ok_or_else(|| format!("assert-disk-scaling: no row at {threads} threads"))
     };
-    let (funnel, direct) = (wall("funnel")?, wall("direct")?);
-    if direct >= funnel {
+    let (t1, t8) = (wall(1)?, wall(8)?);
+    if t8 >= t1 {
         return Err(format!(
-            "assert-disk-scaling: FAILED — direct fetches at 8 threads \
-             ({direct:.3}s) are not below the funnel ({funnel:.3}s); \
-             concurrent segment reads are not paying off"
+            "assert-disk-scaling: FAILED — disk backend wall time at 8 threads \
+             ({t8:.3}s) is not below 1 thread ({t1:.3}s); concurrent segment \
+             reads are not paying off"
         ));
     }
-    eprintln!("assert-disk-scaling: ok — direct 8-thread {direct:.3}s < funnel {funnel:.3}s");
+    eprintln!("assert-disk-scaling: ok — disk 8-thread {t8:.3}s < 1-thread {t1:.3}s");
     Ok(())
 }

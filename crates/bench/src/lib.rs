@@ -13,8 +13,9 @@
 //! | Figure 4 | [`figure4::run`] | time vs rows on wbc×n for all three algorithms |
 //! | —        | [`ablations::run`] | (beyond paper) pruning/optimization ablations |
 //! | —        | [`scaling::run`] | (beyond paper) thread scaling of the parallel runtime |
-//! | —        | [`disk_scaling::run`] | (beyond paper) disk-mode funnel vs direct concurrent fetches |
+//! | —        | [`disk_scaling::run`] | (beyond paper) thread scaling of the disk-backed search |
 //! | —        | [`topk::run`] | (beyond paper) bounded-heap ranked search vs the unbounded walk |
+//! | —        | [`kernels::run`] | (beyond paper) two-partition vs column-probe kernels, ns/element |
 //!
 //! Runners print aligned text tables to stdout and return structured
 //! [`report`] values that `--json` serializes for EXPERIMENTS.md updates.
@@ -23,6 +24,7 @@ pub mod ablations;
 pub mod disk_scaling;
 pub mod figure3;
 pub mod figure4;
+pub mod kernels;
 pub mod report;
 pub mod runners;
 pub mod scaling;

@@ -9,8 +9,8 @@
 
 use std::process::ExitCode;
 use tane_bench::{
-    ablations, disk_scaling, figure3, figure4, report::Report, scaling, table1, table2, table3,
-    topk, Scale,
+    ablations, disk_scaling, figure3, figure4, kernels, report::Report, scaling, table1, table2,
+    table3, topk, Scale,
 };
 
 const USAGE: &str = "\
@@ -27,19 +27,20 @@ EXPERIMENTS:
     figure4     scale-up in the number of rows (wbc x n)
     ablations   effect of each pruning rule / optimization (beyond paper)
     scaling     thread scaling of the parallel search runtime (beyond paper)
-    disk-scaling disk-mode parent fetches: worker-0 funnel vs direct
-                concurrent segment reads (beyond paper)
+    disk-scaling thread scaling of the disk-backed search (beyond paper)
     topk        bounded-heap ranked search vs the unbounded walk (beyond paper)
-    all         everything above except scaling, disk-scaling, and topk
+    kernels     two-partition vs column-probe partition kernels, ns per
+                element over every level-2 pair (beyond paper)
+    all         everything above except scaling, disk-scaling, topk, and
+                kernels
 
 OPTIONS:
     --fast            trimmed dataset sizes (seconds instead of minutes)
     --json F          also write the structured results to F
     --assert-scaling  (scaling) fail unless 4-thread wall time beats
                       2-thread on the memory backend; (disk-scaling) fail
-                      unless direct 8-thread wall time beats the funnel;
-                      both skipped loudly on machines with fewer than
-                      4 cores
+                      unless 8-thread wall time beats 1-thread; both
+                      skipped loudly on machines with fewer than 4 cores
 ";
 
 fn main() -> ExitCode {
@@ -73,6 +74,7 @@ fn main() -> ExitCode {
         "figure4" => report.figure4 = figure4::run(scale),
         "ablations" => report.ablations = ablations::run(scale),
         "topk" => report.topk = topk::run(scale),
+        "kernels" => report.kernels = kernels::run(scale),
         "scaling" => {
             report.scaling = scaling::run(scale);
             if args.iter().any(|a| a == "--assert-scaling") {
@@ -85,7 +87,7 @@ fn main() -> ExitCode {
         "disk-scaling" => {
             report.disk_scaling = disk_scaling::run(scale);
             if args.iter().any(|a| a == "--assert-scaling") {
-                if let Err(msg) = disk_scaling::assert_direct_beats_funnel(&report.disk_scaling) {
+                if let Err(msg) = disk_scaling::assert_disk_scaling(&report.disk_scaling) {
                     eprintln!("{msg}");
                     return ExitCode::FAILURE;
                 }

@@ -261,16 +261,12 @@ impl ScalingRow {
     }
 }
 
-/// One disk-mode fetch-path measurement: the same disk-backed search at
-/// one worker count, with parent fetches either funneled through worker 0
-/// (`mode: "funnel"`, the legacy baseline) or issued concurrently by every
-/// worker against the shared segment store (`mode: "direct"`). `n`,
-/// `products`, and all four disk I/O columns must be identical down every
-/// column — the fetch path may only move wall time.
+/// One disk-mode measurement: the same disk-backed search at one worker
+/// count, every worker fetching its parents concurrently from the shared
+/// segment store. `n`, `products`, and all four disk I/O columns must be
+/// identical down every column — the worker count may only move wall time.
 #[derive(Debug)]
 pub struct DiskScalingRow {
-    /// Fetch path label, `funnel` or `direct`.
-    pub mode: String,
     /// Worker threads configured for the search.
     pub threads: usize,
     /// CPU cores available on the machine that ran the row.
@@ -279,14 +275,12 @@ pub struct DiskScalingRow {
     pub n: usize,
     /// Wall-clock seconds.
     pub secs: f64,
-    /// Time the product stage spent waiting on partition fetches — the
-    /// funnel's serialization shows up here.
+    /// Time the product stage spent waiting on partition fetches.
     pub fetch_stall_secs: f64,
     /// Partition products computed (invariant).
     pub products: usize,
     /// Cold partition fetches served from segment files (invariant: phase
-    /// pinning makes the per-level cold set independent of thread count
-    /// and fetch path).
+    /// pinning makes the per-level cold set independent of thread count).
     pub disk_reads: u64,
     /// Partitions written to segment files (invariant).
     pub disk_writes: u64,
@@ -303,7 +297,6 @@ pub struct DiskScalingRow {
 impl DiskScalingRow {
     fn to_json(&self) -> Json {
         Json::obj([
-            ("mode", Json::Str(self.mode.clone())),
             ("threads", Json::Num(self.threads as f64)),
             ("cores", Json::Num(self.cores as f64)),
             ("n", Json::Num(self.n as f64)),
@@ -377,6 +370,40 @@ impl TopKRow {
     }
 }
 
+/// One partition-kernel timing: a kernel over every level-2 attribute
+/// pair of one dataset (see [`crate::kernels`]).
+#[derive(Debug)]
+pub struct KernelRow {
+    /// Dataset name.
+    pub dataset: String,
+    /// Rows of the relation.
+    pub rows: usize,
+    /// Level-2 attribute pairs timed.
+    pub pairs: usize,
+    /// Kernel label: `product`, `refine`, `g3` or `g3-labels`.
+    pub kernel: String,
+    /// Two-partition input elements over all pairs (the denominator).
+    pub elements: usize,
+    /// Median nanoseconds per element.
+    pub ns_per_elem: f64,
+    /// Median microseconds per pair.
+    pub us_per_pair: f64,
+}
+
+impl KernelRow {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("dataset", Json::Str(self.dataset.clone())),
+            ("rows", Json::Num(self.rows as f64)),
+            ("pairs", Json::Num(self.pairs as f64)),
+            ("kernel", Json::Str(self.kernel.clone())),
+            ("elements", Json::Num(self.elements as f64)),
+            ("ns_per_elem", Json::Num(self.ns_per_elem)),
+            ("us_per_pair", Json::Num(self.us_per_pair)),
+        ])
+    }
+}
+
 /// Everything the harness produced in one invocation.
 #[derive(Debug, Default)]
 pub struct Report {
@@ -394,10 +421,12 @@ pub struct Report {
     pub ablations: Vec<AblationRow>,
     /// Thread-scaling rows, if run.
     pub scaling: Vec<ScalingRow>,
-    /// Disk-mode funnel-vs-direct rows, if run.
+    /// Disk-mode thread-grid rows, if run.
     pub disk_scaling: Vec<DiskScalingRow>,
     /// Top-k ranked-search rows, if run.
     pub topk: Vec<TopKRow>,
+    /// Partition-kernel rows, if run.
+    pub kernels: Vec<KernelRow>,
 }
 
 impl Report {
@@ -455,6 +484,10 @@ impl Report {
                 "topk",
                 Json::Arr(self.topk.iter().map(TopKRow::to_json).collect()),
             ),
+            (
+                "kernels",
+                Json::Arr(self.kernels.iter().map(KernelRow::to_json).collect()),
+            ),
         ])
     }
 }
@@ -503,7 +536,6 @@ mod tests {
                 fdep: None,
             }],
             disk_scaling: vec![DiskScalingRow {
-                mode: "direct".into(),
                 threads: 8,
                 cores: 8,
                 n: 48,
@@ -559,7 +591,7 @@ mod tests {
             Some(8192)
         );
         let disk = parsed.get("disk_scaling").unwrap().as_array().unwrap();
-        assert_eq!(disk[0].get("mode").unwrap().as_str(), Some("direct"));
+        assert_eq!(disk[0].get("threads").unwrap().as_usize(), Some(8));
         assert_eq!(disk[0].get("disk_reads").unwrap().as_usize(), Some(300));
         assert_eq!(disk[0].get("store_pins").unwrap().as_usize(), Some(300));
         let topk = parsed.get("topk").unwrap().as_array().unwrap();

@@ -20,14 +20,14 @@ use tane_util::Stopwatch;
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Disk cache for the scaling runs: small enough that the generated
-/// dataset's lattice spills and the pipelined fetch path carries real
+/// dataset's lattice spills and the concurrent fetches carry real
 /// traffic.
 pub(crate) const SCALING_CACHE_BYTES: usize = 8 << 20;
 
 /// The generated workload: wide and row-heavy so level-1 construction,
 /// products, and (on disk) fetches all cross the parallel work gate.
 /// `Fast` trims the rows, not the shape. Shared with the disk-scaling
-/// experiment so funnel-vs-direct numbers are comparable to these rows.
+/// experiment so its numbers are comparable to these rows.
 pub(crate) fn workload(scale: Scale) -> Relation {
     let rows: usize = match scale {
         Scale::Fast => 5_000,

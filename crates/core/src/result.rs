@@ -137,11 +137,10 @@ pub struct TaneStats {
     /// their compute sections here too, so utilization is comparable
     /// against any worker count.
     pub worker_busy: Duration,
-    /// Time the product stage spent waiting on partition fetches: with the
-    /// pipelined disk backend, the blocked-on-channel time of *every*
-    /// worker (attributed per worker in the pool's counters); on the
-    /// serial path, the whole up-front fetch phase. Pipelining engages
-    /// when this drops below the serial baseline for the same search.
+    /// Time the product stage spent waiting on partition fetches: on the
+    /// pool, each worker's own fetch time (attributed per worker in the
+    /// pool's counters); on the serial path, the whole up-front fetch
+    /// phase.
     pub fetch_stall: Duration,
     /// Ranked mode only: candidates skipped *before* their exact `g3` was
     /// computed, because the cheap lower bound `e(X\{A}) − e(X)` could not

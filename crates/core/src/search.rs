@@ -54,14 +54,14 @@ use crate::lattice::{
 };
 use crate::rank::{RankState, TopKEvent};
 use crate::result::{LevelEvent, TaneError, TaneResult, TaneStats};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use tane_partition::{
-    g3_removed_rows_with_scratch, product_with_scratch, G3Bounds, G3Scratch, MemoryStore,
-    PartitionStore, ProductScratch, ReadPhase, SegmentStore, StrippedPartition,
+    class_labels, g3_removed_rows_by_labels, refine_with_scratch, G3Bounds, MemoryStore,
+    PartitionStore, ReadPhase, RefineScratch, SegmentStore, StrippedPartition,
 };
 use tane_relation::Relation;
-use tane_util::{adaptive_grain, canonical_fds, AttrSet, Fd, Slots, Stopwatch, WorkerPool};
+use tane_util::{adaptive_grain, canonical_fds, AttrSet, Fd, Stopwatch, WorkerPool};
 
 /// Discovers all minimal non-trivial functional dependencies of `relation`
 /// (the paper's central task, Section 1).
@@ -400,41 +400,47 @@ impl Store {
 /// not item count, so that is what the gate must estimate.
 const PARALLEL_MIN_ELEMENTS: usize = 1 << 15;
 
-/// The per-search parallel runtime: one persistent [`WorkerPool`] plus
-/// per-worker scratch tables, all allocated once per run and reused across
-/// every lattice level (no per-level thread spawns or O(|r|) allocations).
+/// The per-search parallel runtime: one persistent [`WorkerPool`], one
+/// refinement scratch per worker, and the level-1 label columns every
+/// refinement and exact `g3` probes — all allocated once per run and
+/// reused across every lattice level (no per-level thread spawns or
+/// O(|r|) allocations).
 ///
 /// Determinism argument: workers write results into index-addressed
-/// [`Slots`], so batch outputs are gathered in input order, and every
-/// decision that *consumes* those outputs (C⁺ updates, pruning, FD
-/// recording) stays in the serial driver — the search result is
+/// [`Slots`](tane_util::Slots), so batch outputs are gathered in input
+/// order, and every decision that *consumes* those outputs (C⁺ updates,
+/// pruning, FD recording) stays in the serial driver — the search result is
 /// byte-identical for any worker count.
 struct ParallelRuntime {
     pool: WorkerPool,
-    product_scratches: Vec<Mutex<ProductScratch>>,
-    g3_scratches: Vec<Mutex<G3Scratch>>,
+    scratches: Vec<Mutex<RefineScratch>>,
+    /// `labels[A]` = [`class_labels`] of `π̂_A`, filled by
+    /// [`singleton_partitions`](Self::singleton_partitions) and read-only
+    /// afterwards.
+    labels: Vec<Vec<u32>>,
     /// Accumulated time the product stage waited on partition fetches
     /// (see [`TaneStats::fetch_stall`]).
     fetch_stall: Duration,
-    /// Route disk-mode parent fetches through the legacy worker-0 funnel
-    /// instead of direct concurrent reads (benchmark baseline; see
-    /// [`TaneConfig::fetch_funnel`]).
-    fetch_funnel: bool,
+}
+
+/// One next-level partition to compute: `π̂_set = π̂_parent · π̂_{attr}`,
+/// where `parent` is the join parent with fewer stored elements and `attr`
+/// the one attribute of `set` it lacks (Lemma 3).
+struct Refinement {
+    set: AttrSet,
+    parent: AttrSet,
+    attr: usize,
 }
 
 impl ParallelRuntime {
-    fn new(threads: usize, n_rows: usize, fetch_funnel: bool) -> ParallelRuntime {
-        let pool = WorkerPool::new(threads);
+    fn new(threads: usize, n_rows: usize) -> ParallelRuntime {
         ParallelRuntime {
-            product_scratches: (0..threads)
-                .map(|_| Mutex::new(ProductScratch::new(n_rows)))
+            pool: WorkerPool::new(threads),
+            scratches: (0..threads)
+                .map(|_| Mutex::new(RefineScratch::new(n_rows)))
                 .collect(),
-            g3_scratches: (0..threads)
-                .map(|_| Mutex::new(G3Scratch::new(n_rows)))
-                .collect(),
-            pool,
+            labels: Vec::new(),
             fetch_stall: Duration::ZERO,
-            fetch_funnel,
         }
     }
 
@@ -452,15 +458,16 @@ impl ParallelRuntime {
     /// in as worker 0. The driver closure must not read any product
     /// output; it runs concurrently with them.
     ///
-    /// Workers fetch their own parents straight from the shared store
-    /// (`get` is `&self`): disk reads from different workers proceed
-    /// concurrently as positioned reads of sealed segments, coalesced by
-    /// the store's single-flight cache. The whole batch runs inside one
-    /// *read phase*, so every distinct parent costs exactly one disk read
-    /// no matter how many workers ask or in what order — the disk-read
-    /// counters stay byte-identical across worker counts, which is what
-    /// keeps the §9 determinism argument intact now that fetch *timing* is
-    /// no longer serialized (DESIGN §13).
+    /// Each product is a column-probe refinement of *one* join parent —
+    /// the one with fewer stored elements, chosen from index metadata
+    /// before any partition is touched, so the choice (and with it every
+    /// disk counter) is identical at every thread count. Workers fetch
+    /// that parent straight from the shared store (`get` is `&self`): disk
+    /// reads from different workers proceed concurrently as positioned
+    /// reads of sealed segments, coalesced by the store's single-flight
+    /// cache. The whole batch runs inside one *read phase*, so every
+    /// distinct parent costs exactly one disk read no matter how many
+    /// workers ask or in what order (DESIGN §13).
     fn products_overlapped(
         &mut self,
         store: &mut Store,
@@ -471,15 +478,37 @@ impl ParallelRuntime {
             driver();
             return Ok(Vec::new());
         }
-        // Work estimate from index metadata alone — no partition is
-        // touched before the phase opens, so the gate decision is I/O-free
+        // Parent choice and work estimate from index metadata alone — no
+        // partition is touched before the phase opens, so both are I/O-free
         // and identical at every thread count.
-        let est: usize = candidates
+        let mut est = 0usize;
+        let plan: Vec<Refinement> = candidates
             .iter()
-            .map(|c| store.elements_hint(c.parent_a) + store.elements_hint(c.parent_b))
-            .sum();
+            .map(|c| {
+                let (hint_a, hint_b) = (
+                    store.elements_hint(c.parent_a),
+                    store.elements_hint(c.parent_b),
+                );
+                est += hint_a.min(hint_b);
+                let parent = if hint_a <= hint_b {
+                    c.parent_a
+                } else {
+                    c.parent_b
+                };
+                let attr = c
+                    .set
+                    .difference(parent)
+                    .as_singleton()
+                    .expect("join parents miss one attribute each");
+                Refinement {
+                    set: c.set,
+                    parent,
+                    attr,
+                }
+            })
+            .collect();
         let phase = store.begin_read_phase();
-        let result = self.products_inner(store, candidates, est, driver);
+        let result = self.products_inner(store, &plan, est, driver);
         store.end_read_phase(phase);
         result
     }
@@ -487,33 +516,29 @@ impl ParallelRuntime {
     fn products_inner(
         &mut self,
         store: &Store,
-        candidates: &[NextLevelCandidate],
+        plan: &[Refinement],
         est: usize,
         driver: impl FnOnce(),
     ) -> Result<Vec<(AttrSet, StrippedPartition)>, TaneError> {
-        // Benchmark baseline: the legacy worker-0 fetch funnel, which
-        // serializes every segment read behind one thread.
-        if self.fetch_funnel && self.pool.threads() > 1 && matches!(store, Store::Disk(_)) {
-            driver();
-            return self.pipelined_products(store, candidates);
-        }
         if self.engage(est) {
             let pool = &self.pool;
-            let scratches = &self.product_scratches;
-            let grain = adaptive_grain(candidates.len(), est, self.pool.threads());
+            let scratches = &self.scratches;
+            let labels = &self.labels;
+            let grain = adaptive_grain(plan.len(), est, self.pool.threads());
             let slots = self.pool.run_indexed_overlapped(
-                candidates.len(),
+                plan.len(),
                 grain,
                 move |worker, i| {
-                    let cand = &candidates[i];
+                    let step = &plan[i];
                     let fetch_sw = Stopwatch::start();
-                    let pair = store
-                        .get(cand.parent_a)
-                        .and_then(|pa| store.get(cand.parent_b).map(|pb| (pa, pb)));
+                    let parent = store.get(step.parent);
                     pool.add_stall(worker, fetch_sw.elapsed());
-                    pair.map(|(pa, pb)| {
-                        let mut scratch = scratches[worker].lock().expect("product scratch");
-                        (cand.set, product_with_scratch(&pa, &pb, &mut scratch))
+                    parent.map(|p| {
+                        let mut scratch = scratches[worker].lock().expect("refine scratch");
+                        (
+                            step.set,
+                            refine_with_scratch(&p, &labels[step.attr], &mut scratch),
+                        )
                     })
                 },
                 driver,
@@ -529,18 +554,22 @@ impl ParallelRuntime {
         } else {
             driver();
             let fetch_sw = Stopwatch::start();
-            let mut fetched = Vec::with_capacity(candidates.len());
-            for cand in candidates {
-                let pa = store.get(cand.parent_a)?;
-                let pb = store.get(cand.parent_b)?;
-                fetched.push((cand.set, pa, pb));
+            let mut parents = Vec::with_capacity(plan.len());
+            for step in plan {
+                parents.push(store.get(step.parent)?);
             }
             self.fetch_stall += fetch_sw.elapsed();
             let busy_sw = Stopwatch::start();
-            let mut scratch = self.product_scratches[0].lock().expect("product scratch");
-            let out = fetched
+            let mut scratch = self.scratches[0].lock().expect("refine scratch");
+            let out = plan
                 .iter()
-                .map(|(set, pa, pb)| (*set, product_with_scratch(pa, pb, &mut scratch)))
+                .zip(&parents)
+                .map(|(step, p)| {
+                    (
+                        step.set,
+                        refine_with_scratch(p, &self.labels[step.attr], &mut scratch),
+                    )
+                })
                 .collect();
             drop(scratch);
             self.pool.add_busy(busy_sw.elapsed());
@@ -548,134 +577,50 @@ impl ParallelRuntime {
         }
     }
 
-    /// The legacy disk-backend pipeline, kept behind
-    /// [`TaneConfig::fetch_funnel`] as the measured baseline for
-    /// `repro disk-scaling`: worker 0 streams parent pairs — in candidate
-    /// order — through a bounded channel; every other worker (and worker 0
-    /// itself, once the last fetch is sent) computes products into
-    /// index-addressed slots. All segment reads serialize behind worker 0,
-    /// which is exactly the bottleneck the shared-read store removes.
-    fn pipelined_products(
-        &mut self,
-        store: &Store,
-        candidates: &[NextLevelCandidate],
-    ) -> Result<Vec<(AttrSet, StrippedPartition)>, TaneError> {
-        type Item = (
-            usize,
-            AttrSet,
-            Arc<StrippedPartition>,
-            Arc<StrippedPartition>,
-        );
-        let depth = self.pool.threads() * 2;
-        let (tx, rx) = mpsc::sync_channel::<Item>(depth);
-        let tx = Mutex::new(Some(tx));
-        let rx = Mutex::new(rx);
-        let fetch_err: Mutex<Option<TaneError>> = Mutex::new(None);
-        let slots: Slots<(AttrSet, StrippedPartition)> = Slots::new(candidates.len());
-        let pool = &self.pool;
-        let scratches = &self.product_scratches;
-        pool.run(&|worker| {
-            if worker == 0 {
-                let tx = tx.lock().expect("sender").take().expect("fetcher sender");
-                'fetch: for (i, cand) in candidates.iter().enumerate() {
-                    let pair = store
-                        .get(cand.parent_a)
-                        .and_then(|pa| store.get(cand.parent_b).map(|pb| (pa, pb)));
-                    let (pa, pb) = match pair {
-                        Ok(p) => p,
-                        Err(e) => {
-                            *fetch_err.lock().expect("fetch error slot") = Some(e);
-                            break;
-                        }
-                    };
-                    let mut item = (i, cand.set, pa, pb);
-                    // try_send instead of send: if every compute worker
-                    // died of a panic, a blocking send would never return.
-                    loop {
-                        match tx.try_send(item) {
-                            Ok(()) => break,
-                            Err(mpsc::TrySendError::Full(back)) => {
-                                if pool.panicked() {
-                                    break 'fetch;
-                                }
-                                item = back;
-                                std::thread::sleep(Duration::from_micros(50));
-                            }
-                            Err(mpsc::TrySendError::Disconnected(_)) => break 'fetch,
-                        }
-                    }
-                }
-                // Sender drops here: computers drain the queue and stop.
-            }
-            let mut scratch = scratches[worker].lock().expect("product scratch");
-            loop {
-                let wait_sw = Stopwatch::start();
-                // lint:lock-order(scratches -> rx): each worker holds its
-                // own scratch for the whole drain loop and briefly takes
-                // the shared receiver; nothing ever grabs a scratch while
-                // holding the receiver.
-                let item = rx.lock().expect("receiver").recv();
-                // Blocked-recv time is a fetch stall wherever it happens:
-                // it is attributed to the worker that blocked, so the
-                // pipeline's residual stall is visible per worker, not
-                // just on the fetcher.
-                pool.add_stall(worker, wait_sw.elapsed());
-                match item {
-                    Ok((i, set, pa, pb)) => {
-                        pool.add_claims(worker, 1);
-                        slots.put(i, (set, product_with_scratch(&pa, &pb, &mut scratch)));
-                    }
-                    Err(mpsc::RecvError) => break,
-                }
-            }
-        });
-        if let Some(e) = fetch_err.into_inner().expect("fetch error slot") {
-            return Err(e);
-        }
-        Ok(slots.into_vec())
-    }
-
-    /// Level-1 singleton partitions, in attribute order.
-    fn singleton_partitions(&self, relation: &Relation) -> Vec<StrippedPartition> {
+    /// Level-1 singleton partitions, in attribute order. Also records
+    /// their label columns, which every later refinement and exact `g3`
+    /// probes.
+    fn singleton_partitions(&mut self, relation: &Relation) -> Vec<StrippedPartition> {
         let n_attrs = relation.num_attrs();
+        let build = |a: usize| {
+            let pi = StrippedPartition::from_column(relation.column_codes(a));
+            let labels = class_labels(&pi);
+            (pi, labels)
+        };
         // Counting sort over a column touches all |r| rows, so the work
         // estimate is |R|·|r| (singleton partitions have ‖π̂‖ ≤ |r|).
         let est = n_attrs.saturating_mul(relation.num_rows());
-        if self.engage(est) {
+        let built: Vec<(StrippedPartition, Vec<u32>)> = if self.engage(est) {
             let grain = adaptive_grain(n_attrs, est, self.pool.threads());
-            self.pool.run_indexed(n_attrs, grain, |_, a| {
-                StrippedPartition::from_column(relation.column_codes(a))
-            })
+            self.pool.run_indexed(n_attrs, grain, |_, a| build(a))
         } else {
             let busy_sw = Stopwatch::start();
-            let out = (0..n_attrs)
-                .map(|a| StrippedPartition::from_column(relation.column_codes(a)))
-                .collect();
+            let out = (0..n_attrs).map(build).collect();
             self.pool.add_busy(busy_sw.elapsed());
             out
-        }
+        };
+        let (partitions, labels) = built.into_iter().unzip();
+        self.labels = labels;
+        partitions
     }
 
-    /// Exact `g3` for a batch of undecided validity tests, in input order.
-    fn g3_batch(&self, pending: &[(Arc<StrippedPartition>, Arc<StrippedPartition>)]) -> Vec<usize> {
-        let est: usize = pending
-            .iter()
-            .map(|(sub, set)| sub.num_elements() + set.num_elements())
-            .sum();
+    /// Exact `g3` for a batch of undecided validity tests `X\{A} → A`,
+    /// each given as `(π̂_{X\{A}}, A)`, in input order.
+    fn g3_batch(&self, pending: &[(Arc<StrippedPartition>, usize)]) -> Vec<usize> {
+        let est: usize = pending.iter().map(|(sub, _)| sub.num_elements()).sum();
+        let g3 = |scratch: &mut RefineScratch, (pi_sub, a): &(Arc<StrippedPartition>, usize)| {
+            g3_removed_rows_by_labels(pi_sub, &self.labels[*a], scratch)
+        };
         if self.engage(est) {
             let grain = adaptive_grain(pending.len(), est, self.pool.threads());
             self.pool.run_indexed(pending.len(), grain, |worker, i| {
-                let (pi_sub, pi_set) = &pending[i];
-                let mut scratch = self.g3_scratches[worker].lock().expect("g3 scratch");
-                g3_removed_rows_with_scratch(pi_sub, pi_set, &mut scratch)
+                let mut scratch = self.scratches[worker].lock().expect("refine scratch");
+                g3(&mut scratch, &pending[i])
             })
         } else {
             let busy_sw = Stopwatch::start();
-            let mut scratch = self.g3_scratches[0].lock().expect("g3 scratch");
-            let out = pending
-                .iter()
-                .map(|(pi_sub, pi_set)| g3_removed_rows_with_scratch(pi_sub, pi_set, &mut scratch))
-                .collect();
+            let mut scratch = self.scratches[0].lock().expect("refine scratch");
+            let out = pending.iter().map(|t| g3(&mut scratch, t)).collect();
             drop(scratch);
             self.pool.add_busy(busy_sw.elapsed());
             out
@@ -717,7 +662,7 @@ fn run(
     let mut store = Store::from_config(config)?;
     // The whole parallel runtime — pool threads and per-worker scratch
     // tables — is allocated here, once, and reused by every level.
-    let mut runtime = ParallelRuntime::new(config.threads, n_rows, config.fetch_funnel);
+    let mut runtime = ParallelRuntime::new(config.threads, n_rows);
 
     // L_0 = {∅} with C⁺(∅) = R. Its partition is the one-class π_∅,
     // needed by approximate validity tests at level 1.
@@ -874,11 +819,11 @@ fn run(
             .filter(|(_, s)| s.is_none())
             .map(|(&c, _)| c)
             .collect();
-        // The remaining partitions: parents stream out of the store in
-        // candidate order and multiply per Lemma 3 — on the pool when the
-        // level's estimated element volume warrants it, with disk fetches
-        // pipelined against the products, and the level's serial tail
-        // overlapped against the compute. `partitions_bytes` is captured
+        // The remaining partitions: each refines one parent by a label
+        // column per Lemma 3 — on the pool when the level's estimated
+        // element volume warrants it, with every worker fetching its own
+        // parents, and the level's serial tail overlapped against the
+        // compute. `partitions_bytes` is captured
         // before dispatch: the store is untouched until the products are
         // gathered, so the observer sees the same value as the serial
         // ordering.
@@ -967,8 +912,8 @@ fn run(
     stats.worker_parks = totals.parks;
     stats.worker_spin = totals.spin;
     stats.worker_busy = runtime.pool.busy_time();
-    // Serial fetch phases accumulate on the runtime; the pipelined backend
-    // attributes blocked-recv time per worker into the pool's counters.
+    // Serial fetch phases accumulate on the runtime; pool workers attribute
+    // their fetch time per worker into the pool's counters.
     stats.fetch_stall = runtime.fetch_stall + totals.stall;
     stats.elapsed = sw.elapsed();
     found_keys.sort_unstable();
@@ -1223,7 +1168,7 @@ fn decide_approx_tests(
     let mut decisions: Vec<TestDecision> = Vec::new();
     // Index into `pending` per undecided test, parallel to `decisions`.
     let mut pending_at: Vec<Option<usize>> = Vec::new();
-    let mut pending: Vec<(Arc<StrippedPartition>, Arc<StrippedPartition>)> = Vec::new();
+    let mut pending: Vec<(Arc<StrippedPartition>, usize)> = Vec::new();
     for entry in current.entries() {
         let set = entry.set;
         let x_error = entry.error_rows;
@@ -1255,11 +1200,9 @@ fn decide_approx_tests(
                     continue;
                 }
             }
-            let pi_sub = store.get(sub)?;
-            let pi_set = store.get(set)?;
             decisions.push(TestDecision::Invalid); // placeholder, patched below
             pending_at.push(Some(pending.len()));
-            pending.push((pi_sub, pi_set));
+            pending.push((store.get(sub)?, a));
         }
     }
     if !pending.is_empty() {
@@ -1318,7 +1261,7 @@ fn decide_topk_tests(
     let mut decisions: Vec<TopKDecision> = Vec::new();
     // Index into `pending` per undecided test, parallel to `decisions`.
     let mut pending_at: Vec<Option<usize>> = Vec::new();
-    let mut pending: Vec<(Arc<StrippedPartition>, Arc<StrippedPartition>)> = Vec::new();
+    let mut pending: Vec<(Arc<StrippedPartition>, usize)> = Vec::new();
     for entry in current.entries() {
         let set = entry.set;
         let x_error = entry.error_rows;
@@ -1362,11 +1305,9 @@ fn decide_topk_tests(
                 pending_at.push(None);
                 continue;
             }
-            let pi_sub = store.get(sub)?;
-            let pi_set = store.get(set)?;
             decisions.push(TopKDecision::Scored { g3_rows: 0 }); // patched below
             pending_at.push(Some(pending.len()));
-            pending.push((pi_sub, pi_set));
+            pending.push((store.get(sub)?, a));
         }
     }
     if !pending.is_empty() {

@@ -9,7 +9,11 @@
 //! ```
 //!
 //! [`g3_removed_rows`] implements the O(‖π̂‖) representative-table algorithm
-//! from the extended report \[4\]; [`G3Bounds`] implements the quick bound
+//! from the extended report \[4\] over `π̂_X` and `π̂_{X∪{A}}`. TANE's
+//! search instead computes the same number from `π̂_X` and `A`'s label
+//! column ([`g3_removed_rows_by_labels`](crate::g3_removed_rows_by_labels)),
+//! so it never fetches `π̂_{X∪{A}}`; the two-partition form here is its
+//! test oracle. [`G3Bounds`] implements the quick bound
 //! from the same report ("a method to quickly bound the g3 error",
 //! paper Section 5) that lets approximate TANE decide most validity tests
 //! without running the exact algorithm:

@@ -25,8 +25,12 @@
 //!
 //! On top of these:
 //!
-//! * [`mod@product`] — the linear-time partition product with reusable scratch
-//!   tables ([`product::ProductScratch`]).
+//! * [`mod@refine`] — the column-probe refinement TANE's search runs:
+//!   `π̂_{X∪{A}}` and exact `g3(X → A)` from `π̂_X` plus a per-row label
+//!   column of `π̂_A`, with one reusable scratch ([`RefineScratch`]).
+//! * [`mod@product`] — the general two-partition product with reusable
+//!   scratch tables ([`product::ProductScratch`]), the reference the
+//!   refinement is tested against.
 //! * [`g3`] — the `g3` approximation error: exact O(‖π̂‖) computation plus
 //!   the cheap sandwich bounds from \[4\] that let approximate TANE skip
 //!   most exact computations.
@@ -38,6 +42,7 @@ pub mod full;
 pub mod g3;
 pub mod measures;
 pub mod product;
+pub mod refine;
 pub mod store;
 pub mod stripped;
 
@@ -45,6 +50,9 @@ pub use full::Partition;
 pub use g3::{g3_error, g3_removed_rows, g3_removed_rows_with_scratch, G3Bounds, G3Scratch};
 pub use measures::{g1_error, g1_violating_pairs, g2_error, g2_violating_rows, MeasureScratch};
 pub use product::{product, product_with_scratch, ProductScratch};
+pub use refine::{
+    class_labels, g3_removed_rows_by_labels, refine, refine_with_scratch, RefineScratch, STRIPPED,
+};
 pub use store::{
     failpoint, DiskQuota, DiskStore, MemoryStore, PartitionStore, ReadPhase, SegmentStore,
     StoreError,

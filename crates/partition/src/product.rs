@@ -8,10 +8,18 @@
 //! The algorithm is the probe-table construction from the extended report
 //! \[4\]: mark each row of `π'` with its class id in a table `T`, then walk
 //! the classes of `π''`, bucketing rows by their `T` mark; buckets of size
-//! ≥ 2 become classes of the product. Running time is
-//! O(‖π̂'‖ + ‖π̂''‖) — independent of `|r|` except through the partitions
-//! themselves — and the scratch tables are reused across calls so the hot
-//! loop performs no allocation.
+//! ≥ 2 become classes of the product; finally clear `T`. That is about
+//! 2‖π̂'‖ + 2‖π̂''‖ row touches — independent of `|r|` except through the
+//! partitions themselves — and the scratch tables are reused across calls
+//! so the hot loop performs no allocation.
+//!
+//! TANE's search does not call this kernel. Every lattice product has a
+//! singleton factor (`π_X · π_{A}`), whose probe table is a fixed label
+//! column, so the search runs the column-probe refinement of
+//! [`mod@crate::refine`] instead: one parent fetched, about 2‖π̂_X‖ touches.
+//! The general product remains for arbitrary pairs (association-rule
+//! mining, `StrippedPartition::from_attr_set`) and as the reference the
+//! refinement is tested against.
 
 use crate::stripped::StrippedPartition;
 

@@ -286,6 +286,10 @@ impl Response {
     /// Serializes the response onto `stream`. `keep_alive` names the
     /// *server's* decision for this connection and is announced in the
     /// `connection:` header so well-behaved clients agree on it.
+    ///
+    /// Head and body leave in one `write_all`: two writes would put the
+    /// body behind Nagle's algorithm, waiting on the client's delayed ACK
+    /// of the head.
     pub fn write_to<W: Write>(&self, stream: &mut W, keep_alive: bool) -> io::Result<()> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: {}\r\n",
@@ -301,8 +305,9 @@ impl Response {
             head.push_str("\r\n");
         }
         head.push_str("\r\n");
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(&self.body)?;
+        let mut wire = head.into_bytes();
+        wire.extend_from_slice(&self.body);
+        stream.write_all(&wire)?;
         stream.flush()
     }
 }
@@ -356,17 +361,17 @@ impl<'a, W: Write> ChunkedBody<'a, W> {
         })
     }
 
-    /// Writes one chunk (size line, payload, CRLF) and flushes it onto the
-    /// wire. Empty payloads are skipped — a zero-length chunk would
-    /// terminate the body.
+    /// Writes one chunk (size line, payload, CRLF) in one `write_all` and
+    /// flushes it onto the wire. Empty payloads are skipped — a zero-length
+    /// chunk would terminate the body.
     pub fn write_chunk(&mut self, payload: &[u8]) -> io::Result<()> {
         if payload.is_empty() {
             return Ok(());
         }
-        self.stream
-            .write_all(format!("{:x}\r\n", payload.len()).as_bytes())?;
-        self.stream.write_all(payload)?;
-        self.stream.write_all(b"\r\n")?;
+        let mut frame = format!("{:x}\r\n", payload.len()).into_bytes();
+        frame.extend_from_slice(payload);
+        frame.extend_from_slice(b"\r\n");
+        self.stream.write_all(&frame)?;
         self.stream.flush()?;
         self.payload_bytes += payload.len() as u64;
         Ok(())
@@ -621,6 +626,45 @@ mod tests {
             err.get("message").unwrap().as_str(),
             Some("no such dataset `x`")
         );
+    }
+
+    /// A `Write` that counts `write` calls, to pin how many segments a
+    /// response hands the socket.
+    #[derive(Default)]
+    struct CountingWriter {
+        wire: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.wire.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn responses_and_chunks_are_single_writes() {
+        let mut w = CountingWriter::default();
+        Response::json(200, &Json::obj([("ok", Json::Bool(true))]))
+            .with_header("x-request", "1")
+            .write_to(&mut w, true)
+            .unwrap();
+        assert_eq!(w.writes, 1, "head and body in one write");
+        assert!(w.wire.ends_with(b"\r\n\r\n{\"ok\":true}"));
+
+        let mut w = CountingWriter::default();
+        let mut body = ChunkedBody::start(&mut w, 200, &[], true).unwrap();
+        let before = body.stream.writes;
+        body.write_chunk(b"{\"level\":1}\n").unwrap();
+        assert_eq!(body.stream.writes - before, 1, "one write per chunk");
+        body.write_chunk(b"{\"level\":2}\n").unwrap();
+        assert_eq!(body.stream.writes - before, 2, "one write per chunk");
     }
 
     #[test]

@@ -603,6 +603,10 @@ fn shed_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
 /// when the server starts shutting down (drain: the in-flight request is
 /// still answered, with `connection: close`).
 fn handle_connection(shared: &Shared, mut stream: TcpStream) {
+    // Every response leaves in whole writes (see `Response::write_to`);
+    // with Nagle on, a keep-alive reply could still wait on the client's
+    // delayed ACK of the previous one.
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.idle_timeout));
     let _ = stream.set_write_timeout(Some(shared.config.read_timeout));
     let read_half = match stream.try_clone() {

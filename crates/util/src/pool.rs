@@ -38,7 +38,7 @@
 use crate::rng::SplitMix64;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -92,17 +92,13 @@ struct Shared {
     busy_nanos: AtomicU64,
     /// Per-worker steal/claim/park/spin/stall counters, index = worker id.
     counters: Vec<CounterCells>,
-    /// True once any worker body has panicked (sticky; lets cooperating
-    /// producers stop feeding a pipeline whose consumers died).
-    panicked: AtomicBool,
 }
 
 /// A snapshot of one worker's (or, summed, the pool's) scheduling
 /// instrumentation.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PoolCounters {
-    /// Work grains executed: deque pops plus externally counted grains
-    /// (see [`WorkerPool::add_claims`]).
+    /// Work grains executed (deque pops).
     pub claims: u64,
     /// Successful steals — batches taken from another worker's deque.
     pub steals: u64,
@@ -112,8 +108,8 @@ pub struct PoolCounters {
     /// Bounded by construction: a worker gives up an epoch after one full
     /// failed scan of every deque instead of spinning.
     pub spin: Duration,
-    /// Time spent blocked on an external feed (e.g. the disk-fetch
-    /// pipeline's channel), attributed to the worker that blocked — see
+    /// Time spent blocked on an external feed (e.g. a partition fetch),
+    /// attributed to the worker that blocked — see
     /// [`WorkerPool::add_stall`].
     pub stall: Duration,
 }
@@ -176,7 +172,6 @@ impl WorkerPool {
             done_cv: Condvar::new(),
             busy_nanos: AtomicU64::new(0),
             counters: (0..threads).map(|_| CounterCells::default()).collect(),
-            panicked: AtomicBool::new(false),
         });
         let handles = (1..threads)
             .map(|id| {
@@ -225,9 +220,8 @@ impl WorkerPool {
     /// Panics from `driver` or any `body` invocation are re-raised after
     /// the epoch fully drains (`driver`'s first); the pool stays usable.
     #[allow(unsafe_code)] // audited: the lifetime-erasing transmute below
-                          // ORDERING: Release on busy_nanos and the panicked flag — pairs with
-                          // the Acquire loads in busy_time/panicked; the epoch-drain mutex
-                          // already orders everything else.
+                          // ORDERING: Release on busy_nanos — pairs with the Acquire load in
+                          // busy_time; the epoch-drain mutex already orders everything else.
     pub fn run_overlapped(&self, body: &(dyn Fn(usize) + Sync), driver: impl FnOnce()) {
         if self.handles.is_empty() {
             let drove = catch_unwind(AssertUnwindSafe(driver));
@@ -238,7 +232,6 @@ impl WorkerPool {
                     .busy_nanos
                     .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Release);
                 if let Err(payload) = outcome {
-                    self.shared.panicked.store(true, Ordering::Release);
                     resume_unwind(payload);
                 }
             }
@@ -275,9 +268,6 @@ impl WorkerPool {
             // still drain before the panic may unwind past the borrow.
             Ok(())
         };
-        if caller.is_err() {
-            self.shared.panicked.store(true, Ordering::Release);
-        }
         let worker_panic = {
             let mut state = self.shared.state.lock().expect("pool state");
             while state.remaining > 0 {
@@ -408,20 +398,8 @@ impl WorkerPool {
         slots.into_vec()
     }
 
-    /// Counts `n` externally executed work grains against `worker` (for
-    /// job shapes that distribute work themselves, e.g. a channel-fed
-    /// pipeline).
-    // ORDERING: Release — pairs with the Acquire loads in accumulate;
-    // externally attributed grains are stats, hence result-exact.
-    pub fn add_claims(&self, worker: usize, n: u64) {
-        self.shared.counters[worker]
-            .claims
-            .fetch_add(n, Ordering::Release);
-    }
-
-    /// Attributes `stall` time spent blocked on an external feed (channel
-    /// recv, fetch wait) to `worker` — every worker's stalls are recorded,
-    /// not just the fetcher's.
+    /// Attributes `stall` time spent blocked on an external feed (a
+    /// partition fetch) to `worker`.
     // ORDERING: Release — pairs with the Acquire loads in accumulate.
     pub fn add_stall(&self, worker: usize, stall: Duration) {
         self.shared.counters[worker]
@@ -473,16 +451,6 @@ impl WorkerPool {
     pub fn busy_time(&self) -> Duration {
         Duration::from_nanos(self.shared.busy_nanos.load(Ordering::Acquire))
     }
-
-    /// True once any job body has panicked on any worker. Sticky; lets a
-    /// producer worker bail out of a bounded pipeline instead of blocking
-    /// forever on consumers that died.
-    // ORDERING: Acquire — the sticky flag gates result-affecting control
-    // flow (a producer bails out of the pipeline); pairs with the Release
-    // stores at the panic sites so bailing implies seeing the panic.
-    pub fn panicked(&self) -> bool {
-        self.shared.panicked.load(Ordering::Acquire)
-    }
 }
 
 /// The grain size for a batch of `n_items` work items with an estimated
@@ -527,8 +495,8 @@ impl Drop for WorkerPool {
 }
 
 #[allow(unsafe_code)] // audited: dereferences the pointer `run` published
-                      // ORDERING: Release on busy_nanos, the panicked flag, and the park counter
-                      // — pairs with the Acquire loads in busy_time/panicked/accumulate.
+                      // ORDERING: Release on busy_nanos and the park counter — pairs with
+                      // the Acquire loads in busy_time/accumulate.
 fn worker_loop(shared: &Shared, id: usize) {
     let mut last_epoch = 0u64;
     let mut state = shared.state.lock().expect("pool state");
@@ -550,7 +518,6 @@ fn worker_loop(shared: &Shared, id: usize) {
                 .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Release);
             state = shared.state.lock().expect("pool state");
             if let Err(payload) = outcome {
-                shared.panicked.store(true, Ordering::Release);
                 if state.panic.is_none() {
                     state.panic = Some(payload);
                 }
@@ -782,7 +749,6 @@ mod tests {
         let err = outcome.expect_err("worker panic must reach the caller");
         let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
         assert!(msg.contains("exploded"), "unexpected payload: {msg}");
-        assert!(pool.panicked());
         // The pool still works after the panic.
         let out = pool.run_indexed(20, 2, |_w, i| i);
         assert_eq!(out, (0..20).collect::<Vec<_>>());
@@ -814,23 +780,20 @@ mod tests {
             pool.run(&|_| panic!("inline"));
         }))
         .is_err());
-        assert!(pool.panicked());
     }
 
     #[test]
-    fn external_claim_stall_and_busy_attribution() {
+    fn external_stall_and_busy_attribution() {
         let pool = WorkerPool::new(2);
-        pool.add_claims(1, 5);
         pool.add_stall(0, Duration::from_millis(3));
         pool.add_stall(1, Duration::from_millis(4));
         pool.add_busy(Duration::from_millis(9));
         let per_worker = pool.worker_counters();
         assert_eq!(per_worker.len(), 2);
-        assert_eq!(per_worker[1].claims, 5);
         assert_eq!(per_worker[0].stall, Duration::from_millis(3));
         assert_eq!(per_worker[1].stall, Duration::from_millis(4));
         assert_eq!(pool.totals().stall, Duration::from_millis(7));
-        assert_eq!(pool.grains_executed(), 5);
+        assert_eq!(pool.grains_executed(), 0);
         assert!(pool.busy_time() >= Duration::from_millis(9));
     }
 

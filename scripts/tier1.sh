@@ -34,16 +34,20 @@ fi
 
 cargo build --release
 cargo test -q
+# Every crate's unit, integration and doc tests: root `cargo test -q` runs
+# only the `tane-repro` package, so without this the kernel unit tests,
+# the brute-force agreement tests in core, the partition differential
+# suite, the lint fixtures and `cli_e2e` would run in no gate.
+cargo test --workspace -q --release
 # Work-stealing pool scaling gate: a cheap small-dataset scaling run that
 # fails if 4 threads do not beat 2 on the memory backend. The check skips
 # (loudly) on machines with fewer than 4 cores, where the comparison is
 # meaningless; determinism down the thread column is asserted either way.
 cargo build --release -p tane-bench
 ./target/release/repro scaling --fast --assert-scaling > /dev/null
-# Segment-store fetch paths: funnel vs direct at 1..8 workers must be
-# identical in N, products, and every disk I/O column (asserted inside the
-# runner on any machine); with >= 4 cores, direct 8-thread wall time must
-# beat the worker-0 funnel.
+# Disk-backed search at 1..8 workers: N, products, and every disk I/O
+# column must be identical (asserted inside the runner on any machine);
+# with >= 4 cores, 8-thread wall time must beat 1 thread.
 ./target/release/repro disk-scaling --fast --assert-scaling > /dev/null
 # Concurrent shared-read store contract: byte-identical partitions under
 # an 8-thread flood, with single-flight + phase pinning keeping the
