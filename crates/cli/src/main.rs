@@ -13,8 +13,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use tane_core::{
-    discover_approx_fds_with, discover_fds_with, discover_topk_fds_with, ApproxTaneConfig,
-    LevelEvent, TaneConfig, TopKConfig, TopKEvent,
+    discover_approx_fds, discover_approx_fds_with, discover_fds, discover_fds_with,
+    discover_topk_fds_with, ApproxTaneConfig, LevelEvent, TaneConfig, TopKConfig, TopKEvent,
 };
 use tane_relation::csv::{read_csv, write_csv, CsvOptions};
 use tane_relation::{NullSemantics, Relation};
@@ -51,7 +51,7 @@ tane — discovery of functional and approximate dependencies (TANE, ICDE 1998)
 
 USAGE:
     tane discover <FILE.csv> [OPTIONS]    discover minimal dependencies
-    tane patch <FILE.csv> [OPTIONS]       apply a row delta, re-verify incrementally
+    tane patch <FILE.csv> [OPTIONS]       apply a row delta, then discover
     tane dataset <NAME> [OPTIONS]         generate a synthetic benchmark dataset
     tane profile <FILE.csv> [OPTIONS]     print a per-column profile
     tane serve [OPTIONS]                  run the HTTP discovery service
@@ -85,12 +85,11 @@ PATCH OPTIONS:
     --delete <I,J,...>   0-based row indices of the base file to delete
     --epsilon <E>        g3 error threshold in [0,1]; 0 = exact FDs (default)
     --threads <N>        worker threads (results identical at any count)
-    --stats              print incremental-engine statistics after the FDs
+    --stats              print search statistics after the FDs
     --no-header / --delimiter / --nulls   as for discover
-    Discovers on the base file first (warming the engine's partition
-    trackers), applies the delta, then re-verifies incrementally: merged
-    partitions come from the trackers instead of new partition products.
-    Prints the post-patch dependencies.
+    Applies the delta to the base rows (deletes first, then appends) and
+    prints the dependencies of the merged rows — the same lines
+    `tane discover` prints for a CSV holding those rows.
 
 DATASET OPTIONS (NAME: lymphography | hepatitis | wbc | adult | chess):
     --copies <N>         concatenate N disjoint copies (the paper's ×n datasets)
@@ -105,8 +104,6 @@ SERVE OPTIONS:
     --timeout <SECS>     per-request job timeout (default 120)
     --max-conns <N>      concurrent connections; excess shed with 503
                          (default 1024)
-    --conn-requests <N>  keep-alive requests served per connection before
-                         the server closes it (default 1000)
     --idle-timeout <SECS> disconnect idle keep-alive connections (default 10)
     --disk-quota-mb <MB> per-dataset cap on spilled partition bytes for
                          disk-backed searches; exceeding it answers 507
@@ -415,9 +412,8 @@ fn discover(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `tane patch` — the incremental path, end to end and offline: discover
-/// on the base file (warming the engine's partition trackers), apply the
-/// row delta, re-verify incrementally, print the post-patch dependencies.
+/// `tane patch` — the service's `PATCH` path, offline: apply a row delta to
+/// the base file's rows and print the dependencies of the merged rows.
 fn patch(args: &[String]) -> Result<(), String> {
     let opts = parse_opts(
         args,
@@ -461,6 +457,8 @@ fn patch(args: &[String]) -> Result<(), String> {
                 .map_err(|_| format!("bad row index `{part}`"))?;
             delta.deletes.push(i);
         }
+        delta.deletes.sort_unstable();
+        delta.deletes.dedup();
     }
     if let Some(file) = opts.value("append") {
         let rows = load(file, &opts)?;
@@ -484,41 +482,23 @@ fn patch(args: &[String]) -> Result<(), String> {
         return Err("nothing to do: give --append and/or --delete".into());
     }
 
-    let engine = tane_delta::DatasetEngine::new(
-        std::sync::Arc::new(base),
-        nulls,
-        tane_delta::EngineLimits::default(),
-    )
-    .map_err(|e| format!("base file: {e}"))?;
+    let mut store = tane_relation::DeltaStore::from_relation(&base, nulls)
+        .map_err(|e| format!("base file: {e}"))?;
+    store.apply(&delta).map_err(|e| e.to_string())?;
+    let merged = store.materialize().map_err(|e| e.to_string())?;
+    let names = merged.schema().names().to_vec();
     let config = TaneConfig {
         threads,
         ..TaneConfig::default()
     };
-    let quiet = |_: LevelEvent| {};
-    // Warm run on the base rows: this is the "previous" discovery whose
-    // partitions the engine keeps.
-    let cold = if epsilon > 0.0 {
-        let approx = ApproxTaneConfig {
-            base: config.clone(),
-            ..ApproxTaneConfig::new(epsilon)
-        };
-        engine.discover_approx_with(&approx, quiet)
-    } else {
-        engine.discover_exact_with(&config, quiet)
-    }
-    .map_err(|e| e.to_string())?;
-
-    let outcome = engine.patch(&delta).map_err(|e| e.to_string())?;
-    let merged = engine.merged();
-    let names = merged.schema().names().to_vec();
     let result = if epsilon > 0.0 {
         let approx = ApproxTaneConfig {
             base: config,
             ..ApproxTaneConfig::new(epsilon)
         };
-        engine.discover_approx_with(&approx, quiet)
+        discover_approx_fds(&merged, &approx)
     } else {
-        engine.discover_exact_with(&config, quiet)
+        discover_fds(&merged, &config)
     }
     .map_err(|e| e.to_string())?;
 
@@ -526,25 +506,18 @@ fn patch(args: &[String]) -> Result<(), String> {
         println!("{}", fd.display_with(&names));
     }
     eprintln!(
-        "# {} minimal dependencies after the patch ({} rows, generation {})",
+        "# {} minimal dependencies after the patch ({} rows)",
         result.fds.len(),
-        outcome.rows,
-        outcome.generation
+        merged.num_rows()
     );
     if opts.flag("stats") {
         let s = &result.stats;
         eprintln!(
             "# appended/deleted: {}/{}",
-            outcome.appended, outcome.deleted
+            delta.appends.len(),
+            delta.deletes.len()
         );
-        eprintln!(
-            "# partitions supplied by the engine: {}",
-            s.partitions_supplied
-        );
-        eprintln!(
-            "# partition products: {} (base run did {})",
-            s.products, cold.stats.products
-        );
+        eprintln!("# partition products: {}", s.products);
         eprintln!("# validity tests: {}", s.validity_tests);
         eprintln!("# time: {:.3}s", s.elapsed.as_secs_f64());
     }
@@ -700,7 +673,6 @@ fn serve(args: &[String]) -> Result<(), String> {
             "cache",
             "timeout",
             "max-conns",
-            "conn-requests",
             "idle-timeout",
             "disk-quota-mb",
         ],
@@ -735,14 +707,6 @@ fn serve(args: &[String]) -> Result<(), String> {
         config.max_connections = c.parse().map_err(|_| format!("bad connection cap `{c}`"))?;
         if config.max_connections == 0 {
             return Err("need at least one connection slot".into());
-        }
-    }
-    if let Some(r) = opts.value("conn-requests") {
-        config.max_requests_per_conn = r
-            .parse()
-            .map_err(|_| format!("bad per-connection request cap `{r}`"))?;
-        if config.max_requests_per_conn == 0 {
-            return Err("need at least one request per connection".into());
         }
     }
     if let Some(t) = opts.value("idle-timeout") {

@@ -245,15 +245,63 @@ fn serve_rejects_bad_flags() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("connection slot"));
     let out = tane()
-        .args(["serve", "--conn-requests", "0"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let out = tane()
         .args(["serve", "--idle-timeout", "0"])
         .output()
         .unwrap();
     assert!(!out.status.success());
+}
+
+/// `tane patch` prints exactly what `tane discover` prints for a CSV of
+/// the merged rows: base rows minus the deleted ones, then the appended
+/// ones — exact and approximate.
+#[test]
+fn patch_matches_discover_on_the_merged_csv() {
+    let base = write_fixture("patch-base.csv", FIGURE1);
+    let more = write_fixture(
+        "patch-more.csv",
+        "A,B,C,D\n4,a,$,Tulip\n3,?,£,Flower\n2,AA,#,Rose\n",
+    );
+    let merged = write_fixture(
+        "patch-merged.csv",
+        "\
+A,B,C,D
+1,a,$,Flower
+2,AA,$,Daffodil
+2,AA,$,Flower
+3,b,$,Orchid
+3,c,£,Flower
+3,c,#,Rose
+4,a,$,Tulip
+3,?,£,Flower
+2,AA,#,Rose
+",
+    );
+    let stdout = |args: &[&str]| {
+        let out = tane().args(args).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let (base_s, more_s, merged_s) = (
+        base.to_str().unwrap(),
+        more.to_str().unwrap(),
+        merged.to_str().unwrap(),
+    );
+    for extra in [&[][..], &["--epsilon", "0.2"][..]] {
+        let mut patch = vec!["patch", base_s, "--append", more_s, "--delete", "4,1"];
+        patch.extend_from_slice(extra);
+        let mut discover = vec!["discover", merged_s];
+        discover.extend_from_slice(extra);
+        let patched = stdout(&patch);
+        assert!(!patched.is_empty(), "{extra:?}: no dependencies printed");
+        assert_eq!(patched, stdout(&discover), "{extra:?}");
+    }
+    for path in [base, more, merged] {
+        std::fs::remove_file(path).unwrap();
+    }
 }
 
 #[test]

@@ -60,13 +60,11 @@ pub mod violations;
 pub use assoc::{mine_assoc_rules, AssocConfig, AssocRule};
 pub use config::{ApproxTaneConfig, Storage, TaneConfig, TopKConfig};
 pub use cover::{attribute_closure, candidate_keys, implies, is_superkey, remove_redundant};
-pub use lattice::NextLevelCandidate;
 pub use rank::{RankedFd, TopKEvent};
 pub use result::{LevelEvent, TaneError, TaneResult, TaneStats};
 pub use search::{
     discover_approx_fds, discover_approx_fds_with, discover_fds, discover_fds_with,
-    discover_topk_fds, discover_topk_fds_with, reverify_approx_fds_with, reverify_fds_with,
-    ReverifyHooks,
+    discover_topk_fds, discover_topk_fds_with,
 };
 pub use tane_util::Fd;
 pub use violations::{fd_error, violating_rows};

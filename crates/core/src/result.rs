@@ -87,11 +87,6 @@ pub struct TaneStats {
     /// Partition products computed (one per generated lattice node above
     /// level 1).
     pub products: usize,
-    /// Lattice-node partitions handed in by an external supplier instead of
-    /// being producted (the incremental re-verify path, `reverify_*_with`).
-    /// Always 0 for plain discovery; `products + partitions_supplied` equals
-    /// the plain run's `products` on the same relation.
-    pub partitions_supplied: usize,
     /// Disk reads of partitions (disk storage only).
     pub disk_reads: u64,
     /// Disk writes of partitions (disk storage only).

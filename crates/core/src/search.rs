@@ -98,14 +98,7 @@ pub fn discover_fds_with(
     config: &TaneConfig,
     mut on_level: impl FnMut(LevelEvent),
 ) -> Result<TaneResult, TaneError> {
-    run(
-        relation,
-        config,
-        Mode::Exact,
-        &mut on_level,
-        &mut |_| {},
-        None,
-    )
+    run(relation, config, Mode::Exact, &mut on_level, &mut |_| {})
 }
 
 /// [`discover_approx_fds`] with a per-level observer; see
@@ -125,7 +118,6 @@ pub fn discover_approx_fds_with(
         },
         &mut on_level,
         &mut |_| {},
-        None,
     )
 }
 
@@ -165,72 +157,7 @@ pub fn discover_topk_fds_with(
         Mode::TopK { k: config.k },
         &mut on_level,
         &mut on_topk,
-        None,
     )
-}
-
-/// [`discover_fds_with`] with an external partition supplier: the
-/// incremental **re-verify** entry point used by the `tane-delta` engine.
-///
-/// The search runs exactly as usual, except that every next-level candidate
-/// is first offered to `hooks.supply`; a supplied partition skips that
-/// candidate's product (counted in [`TaneStats::partitions_supplied`]
-/// instead of [`TaneStats::products`]). Because a supplied partition must
-/// equal the producted one as a set of classes, and every consumer of a
-/// partition (`error_rows`, `is_superkey`, `g3`, refinement checks) is
-/// independent of class order, the discovered dependencies, keys, and
-/// [`LevelEvent`] stream are byte-identical to a from-scratch run on the
-/// same relation — only the product counters differ.
-pub fn reverify_fds_with(
-    relation: &Relation,
-    config: &TaneConfig,
-    hooks: &mut ReverifyHooks<'_>,
-    mut on_level: impl FnMut(LevelEvent),
-) -> Result<TaneResult, TaneError> {
-    run(
-        relation,
-        config,
-        Mode::Exact,
-        &mut on_level,
-        &mut |_| {},
-        Some(hooks),
-    )
-}
-
-/// [`discover_approx_fds_with`] with an external partition supplier; see
-/// [`reverify_fds_with`] for the supply contract.
-pub fn reverify_approx_fds_with(
-    relation: &Relation,
-    config: &ApproxTaneConfig,
-    hooks: &mut ReverifyHooks<'_>,
-    mut on_level: impl FnMut(LevelEvent),
-) -> Result<TaneResult, TaneError> {
-    run(
-        relation,
-        &config.base,
-        Mode::Approx {
-            epsilon: config.epsilon,
-            use_bounds: config.use_g3_bounds,
-            aggressive: config.aggressive_rhs_plus,
-        },
-        &mut on_level,
-        &mut |_| {},
-        Some(hooks),
-    )
-}
-
-/// External partition supply for the incremental re-verify pass.
-///
-/// `supply` is called once per [`NextLevelCandidate`], in the deterministic
-/// candidate order of GENERATE-NEXT-LEVEL, on the serial driver thread —
-/// so a supplier doubles as a visit log of exactly which lattice nodes the
-/// search materializes. Returning `Some(π̂)` hands the search a
-/// ready-made stripped partition for `candidate.set` (it must equal
-/// `π̂_{parent_a} · π̂_{parent_b}` as a set of classes, over the same row
-/// count); returning `None` lets the search compute the product itself.
-pub struct ReverifyHooks<'a> {
-    /// The partition supplier; see the struct docs for the contract.
-    pub supply: &'a mut dyn FnMut(&NextLevelCandidate) -> Option<StrippedPartition>,
 }
 
 #[derive(Clone, Copy)]
@@ -634,7 +561,6 @@ fn run(
     mode: Mode,
     on_level: &mut dyn FnMut(LevelEvent),
     on_topk: &mut dyn FnMut(TopKEvent),
-    mut hooks: Option<&mut ReverifyHooks<'_>>,
 ) -> Result<TaneResult, TaneError> {
     let sw = Stopwatch::start();
     let n_attrs = relation.num_attrs();
@@ -803,36 +729,19 @@ fn run(
 
         let candidates = generate_next_level(&current);
         let mut next = Level::new();
-        // Incremental re-verify: offer every candidate, in order, to the
-        // supplier first — still on the driver thread, still in the
-        // deterministic candidate order of GENERATE-NEXT-LEVEL, *before*
-        // any product is dispatched. A supplied partition already equals
-        // the Lemma 3 product (as a set of classes), so its product is
-        // skipped.
-        let mut supplied: Vec<Option<StrippedPartition>> = match hooks.as_deref_mut() {
-            Some(h) => candidates.iter().map(|c| (h.supply)(c)).collect(),
-            None => (0..candidates.len()).map(|_| None).collect(),
-        };
-        let missing: Vec<_> = candidates
-            .iter()
-            .zip(&supplied)
-            .filter(|(_, s)| s.is_none())
-            .map(|(&c, _)| c)
-            .collect();
-        // The remaining partitions: each refines one parent by a label
-        // column per Lemma 3 — on the pool when the level's estimated
-        // element volume warrants it, with every worker fetching its own
-        // parents, and the level's serial tail overlapped against the
-        // compute. `partitions_bytes` is captured
-        // before dispatch: the store is untouched until the products are
-        // gathered, so the observer sees the same value as the serial
-        // ordering.
+        // Each next-level partition refines one parent by a label column
+        // per Lemma 3 — on the pool when the level's estimated element
+        // volume warrants it, with every worker fetching its own parents,
+        // and the level's serial tail overlapped against the compute.
+        // `partitions_bytes` is captured before dispatch: the store is
+        // untouched until the products are gathered, so the observer sees
+        // the same value as the serial ordering.
         let partitions_bytes = store.resident_bytes();
         let produced = if rank.is_some() {
             // Ranked mode already ran the tail above.
-            runtime.products_overlapped(&mut store, &missing, || {})?
+            runtime.products_overlapped(&mut store, &candidates, || {})?
         } else {
-            runtime.products_overlapped(&mut store, &missing, || {
+            runtime.products_overlapped(&mut store, &candidates, || {
                 level_tail(
                     config,
                     mode,
@@ -852,22 +761,9 @@ fn run(
             })?
         };
         stats.products += produced.len();
-        stats.partitions_supplied += candidates.len() - missing.len();
-        // Entries join `next` in exact candidate order whether their
-        // partition was supplied or producted — entry order within a level
-        // feeds the found-so-far minimality checks, so it must not depend
-        // on which route a partition took.
-        let mut produced = produced.into_iter();
-        for (candidate, slot) in candidates.iter().zip(supplied.iter_mut()) {
-            let (set, pi) = match slot.take() {
-                Some(pi) => {
-                    debug_assert_eq!(pi.n_rows(), n_rows, "supplied partition row count");
-                    (candidate.set, pi)
-                }
-                None => produced
-                    .next()
-                    .expect("one product per unsupplied candidate"),
-            };
+        // Entries join `next` in exact candidate order: entry order within
+        // a level feeds the found-so-far minimality checks.
+        for (set, pi) in produced {
             next.push(LevelEntry {
                 set,
                 cplus: r_all,

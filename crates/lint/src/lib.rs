@@ -19,7 +19,7 @@
 //! | rule | scope | invariant |
 //! |---|---|---|
 //! | `unsafe-audit` | whole workspace | `unsafe` only in allowlisted files, each site `// SAFETY:`-commented |
-//! | `determinism` | workspace (clocks: core/partition/relation/util/delta) | no hash-order taint reaching result sinks, no clock reads outside timing modules |
+//! | `determinism` | workspace (clocks: core/partition/relation/util) | no hash-order taint reaching result sinks, no clock reads outside timing modules |
 //! | `lock-discipline` | workspace (poison: server, partition) | every guard-held-while-acquiring edge — including through calls — declared via `lint:lock-order`, no unhandled poison |
 //! | `lock-graph` | whole workspace | no cycles in the derived lock graph, no stale declarations |
 //! | `atomics-audit` | util, core, partition | every `Ordering::*` justified with `// ORDERING:`, no Relaxed loads on result paths |

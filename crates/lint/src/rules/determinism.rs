@@ -38,7 +38,6 @@ pub const CLOCK_SCOPE: &[&str] = &[
     "crates/partition/src",
     "crates/relation/src",
     "crates/util/src",
-    "crates/delta/src",
 ];
 
 /// The modules whose whole purpose is reading the clock: the `Timer`

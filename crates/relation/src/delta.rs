@@ -1,20 +1,14 @@
-//! Mutable row storage for incremental discovery: the write path of the
-//! LSM-style delta engine (`tane-delta`).
+//! Mutable row storage for patchable datasets: the store behind
+//! `PATCH /v1/datasets/{name}/rows` and `tane patch`.
 //!
 //! A [`DeltaStore`] wraps a dictionary-encoded base relation and absorbs
 //! [`RowPatch`]es — appended rows and deleted row indices — while keeping
 //! the dictionary codes **stable**: a value that ever received a code keeps
 //! it for the lifetime of the store, across any number of deletes and
-//! re-appends. Stability is the property the incremental partition trackers
-//! in `tane-delta` rely on: a singleton attribute's current code column *is*
-//! a valid label vector for its partition in every generation, so appended
-//! rows can be classified in O(1) against memoized label pairs instead of
-//! re-partitioning the relation (see DESIGN §11).
-//!
-//! The store also tracks the delta since the last *checkpoint* (the last
-//! time a consumer synchronized with it) as a survivor map plus an appended
-//! suffix, which is exactly the shape the partition trackers need to update
-//! themselves in O(|rows| + |delta|).
+//! re-appends. Each applied patch bumps the store's *generation*;
+//! [`DeltaStore::materialize`] turns the current generation into an
+//! immutable [`Relation`] snapshot that discovers exactly what the same
+//! rows re-ingested from scratch would (see DESIGN §11).
 
 use crate::error::RelationError;
 use crate::relation::{NullSemantics, Relation};
@@ -44,28 +38,6 @@ impl RowPatch {
     }
 }
 
-/// The composed delta since the last [`DeltaStore::checkpoint`]: current
-/// rows `0..survivors.len()` are checkpoint rows (`survivors[i]` is row
-/// `i`'s index *at the checkpoint*), and every current row from
-/// `survivors.len()` on was appended since.
-#[derive(Debug, Clone)]
-pub struct DeltaView {
-    /// For each surviving checkpoint row, its index at checkpoint time,
-    /// in (preserved) row order.
-    pub survivors: Vec<u32>,
-    /// Total rows at the checkpoint.
-    pub checkpoint_rows: usize,
-}
-
-impl DeltaView {
-    /// `true` when nothing changed since the checkpoint — every checkpoint
-    /// row survived (in place) and nothing was appended yet. The appended
-    /// count lives with the store (`current_rows - survivors.len()`).
-    pub fn no_deletes(&self) -> bool {
-        self.survivors.len() == self.checkpoint_rows
-    }
-}
-
 /// Mutable, dictionary-encoded row storage with stable codes.
 ///
 /// Built from a base [`Relation`] that retains its value dictionaries
@@ -80,9 +52,6 @@ pub struct DeltaStore {
     next_code: Vec<u32>,
     /// Per attribute: the stable codes of the *current* rows.
     columns: Vec<Vec<u32>>,
-    /// Checkpoint-relative survivor map (see [`DeltaView`]).
-    survivors: Vec<u32>,
-    checkpoint_rows: usize,
     generation: u64,
 }
 
@@ -100,7 +69,6 @@ impl DeltaStore {
         nulls: NullSemantics,
     ) -> Result<DeltaStore, RelationError> {
         let n_attrs = base.num_attrs();
-        let n_rows = base.num_rows();
         let mut dicts: Vec<FxHashMap<Value, u32>> = vec![FxHashMap::default(); n_attrs];
         let mut next_code = vec![0u32; n_attrs];
         let mut columns = Vec::with_capacity(n_attrs);
@@ -128,8 +96,6 @@ impl DeltaStore {
             dicts,
             next_code,
             columns,
-            survivors: (0..n_rows as u32).collect(),
-            checkpoint_rows: n_rows,
             generation: 0,
         })
     }
@@ -139,51 +105,9 @@ impl DeltaStore {
         self.columns.first().map_or(0, Vec::len)
     }
 
-    /// Attribute count (fixed — patches never change the schema).
-    pub fn num_attrs(&self) -> usize {
-        self.schema.len()
-    }
-
-    /// The (immutable) schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
     /// Bumped by every non-empty applied patch.
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// The current stable-code column of attribute `a` — a valid partition
-    /// label vector for the singleton `{a}` in this generation.
-    pub fn column(&self, a: usize) -> &[u32] {
-        &self.columns[a]
-    }
-
-    /// Rows the delta buffer currently holds against the checkpoint:
-    /// appended rows plus deleted checkpoint rows.
-    pub fn buffered_rows(&self) -> usize {
-        let appended = self.num_rows() - self.survivors.len();
-        let deleted = self.checkpoint_rows - self.survivors.len();
-        appended + deleted
-    }
-
-    /// The composed delta since the last checkpoint.
-    pub fn delta_view(&self) -> DeltaView {
-        DeltaView {
-            survivors: self.survivors.clone(),
-            checkpoint_rows: self.checkpoint_rows,
-        }
-    }
-
-    /// Declares the current state synchronized: subsequent [`delta_view`]s
-    /// are relative to now. Called by the engine after its trackers caught
-    /// up (the LSM "flush" of the delta buffer into the levels).
-    ///
-    /// [`delta_view`]: DeltaStore::delta_view
-    pub fn checkpoint(&mut self) {
-        self.survivors = (0..self.num_rows() as u32).collect();
-        self.checkpoint_rows = self.num_rows();
     }
 
     /// Applies one patch: deletes first (pre-patch indices), then appends.
@@ -204,10 +128,10 @@ impl DeltaStore {
             }
         }
         for (i, row) in patch.appends.iter().enumerate() {
-            if row.len() != self.num_attrs() {
+            if row.len() != self.schema.len() {
                 return Err(RelationError::ArityMismatch {
                     row: i,
-                    expected: self.num_attrs(),
+                    expected: self.schema.len(),
                     got: row.len(),
                 });
             }
@@ -231,15 +155,6 @@ impl DeltaStore {
                 }
                 col.truncate(w);
             }
-            // Row order is preserved, so surviving checkpoint rows stay a
-            // prefix and the appended suffix stays a suffix.
-            let mut kept = Vec::with_capacity(self.survivors.len());
-            for (r, &orig) in self.survivors.iter().enumerate() {
-                if !deleted[r] {
-                    kept.push(orig);
-                }
-            }
-            self.survivors = kept;
         }
 
         for row in &patch.appends {
@@ -299,7 +214,7 @@ mod tests {
     fn codes_stay_stable_across_delete_and_reappend() {
         let r = base();
         let mut s = DeltaStore::from_relation(&r, NullSemantics::NullsEqual).unwrap();
-        let code_x = s.column(0)[0];
+        let code_x = s.columns[0][0];
         // Delete every row holding "x", then append "x" again: same code.
         s.apply(&RowPatch {
             deletes: vec![0, 2],
@@ -307,42 +222,15 @@ mod tests {
         })
         .unwrap();
         assert_eq!(s.num_rows(), 2);
-        assert_eq!(s.column(0)[1], code_x, "re-appended value keeps its code");
+        assert_eq!(s.columns[0][1], code_x, "re-appended value keeps its code");
         // A brand-new value gets a code above everything seen before.
         s.apply(&RowPatch {
             deletes: vec![],
             appends: vec![vec![Value::from("z"), Value::from("1")]],
         })
         .unwrap();
-        let code_z = *s.column(0).last().unwrap();
+        let code_z = *s.columns[0].last().unwrap();
         assert!(code_z >= 2, "fresh codes never collide with old ones");
-    }
-
-    #[test]
-    fn delta_view_composes_across_patches() {
-        let r = base();
-        let mut s = DeltaStore::from_relation(&r, NullSemantics::NullsEqual).unwrap();
-        assert!(s.delta_view().no_deletes());
-        assert_eq!(s.buffered_rows(), 0);
-        s.apply(&RowPatch {
-            deletes: vec![1],
-            appends: vec![vec![Value::from("w"), Value::from("9")]],
-        })
-        .unwrap();
-        // Patch 2 deletes the row appended by patch 1 (current index 2).
-        s.apply(&RowPatch {
-            deletes: vec![2],
-            appends: vec![vec![Value::from("v"), Value::from("8")]],
-        })
-        .unwrap();
-        let view = s.delta_view();
-        assert_eq!(view.checkpoint_rows, 3);
-        assert_eq!(view.survivors, vec![0, 2], "rows 0 and 2 survived");
-        assert_eq!(s.num_rows(), 3);
-        assert_eq!(s.buffered_rows(), 2, "one append + one delete pending");
-        s.checkpoint();
-        assert!(s.delta_view().no_deletes());
-        assert_eq!(s.buffered_rows(), 0);
     }
 
     #[test]
@@ -417,7 +305,7 @@ mod tests {
             appends: vec![vec![Value::Missing], vec![Value::Missing]],
         })
         .unwrap();
-        let col = s.column(0);
+        let col = &s.columns[0];
         assert_ne!(col[3], col[4], "distinct nulls stay distinct when appended");
         assert_ne!(col[3], col[0]);
     }

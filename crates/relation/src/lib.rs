@@ -18,8 +18,8 @@
 //!   its scale-up experiments.
 //! * [`csv`] — a dependency-free RFC-4180-style CSV reader/writer with type
 //!   inference, so the CLI and examples can run on arbitrary files.
-//! * [`delta`] — mutable row storage with stable dictionary codes: the
-//!   write path behind the incremental discovery engine (`tane-delta`).
+//! * [`delta`] — mutable row storage with stable dictionary codes, whose
+//!   generations the service's `PATCH` and `tane patch` re-materialize.
 
 pub mod csv;
 pub mod delta;
@@ -28,7 +28,7 @@ pub mod relation;
 pub mod schema;
 pub mod value;
 
-pub use delta::{DeltaStore, DeltaView, RowPatch};
+pub use delta::{DeltaStore, RowPatch};
 pub use error::RelationError;
 pub use relation::{NullSemantics, Relation, RelationBuilder};
 pub use schema::Schema;

@@ -5,16 +5,17 @@
 //! bodies on `POST /datasets/{name}`. Lookups hand out `Arc<Relation>` so
 //! concurrent jobs share one copy of the data.
 //!
-//! Uploads are **mutable**: each one is wrapped in a
-//! [`tane_delta::DatasetEngine`], so `PATCH /v1/datasets/{name}/rows` can
-//! append and delete rows and discovery transparently sees the merged
-//! view (and reuses the engine's partition trackers). Built-ins stay
-//! static — they are the reproducible benchmark corpus.
+//! Uploads are **mutable**: each one keeps its rows in a
+//! [`DeltaStore`], so `PATCH /v1/datasets/{name}/rows` can append and
+//! delete rows. A patch re-materializes the store into a new immutable
+//! snapshot, which lookups hand out from then on; a search that already
+//! holds the old snapshot finishes on it, and its result is cached under
+//! the old snapshot's content hash. Built-ins stay static — they are the
+//! reproducible benchmark corpus.
 
-use std::sync::{Arc, RwLock};
-use tane_delta::{DatasetEngine, EngineLimits};
+use std::sync::{Arc, Mutex, RwLock};
 use tane_partition::DiskQuota;
-use tane_relation::{NullSemantics, Relation};
+use tane_relation::{DeltaStore, NullSemantics, Relation, RelationError, RowPatch};
 use tane_util::FxHashMap;
 
 /// Default per-dataset disk quota when the server is not told otherwise:
@@ -33,19 +34,60 @@ pub enum RemoveOutcome {
     NotFound,
 }
 
+/// Most rows (appends plus deletes) one patch may touch; larger patches
+/// are refused (HTTP 413).
+pub const MAX_PATCH_ROWS: usize = 65_536;
+
+/// What a successfully applied patch did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PatchOutcome {
+    /// Store generation after the patch (bumped iff the patch was
+    /// non-empty).
+    pub generation: u64,
+    /// Current row count after the patch.
+    pub rows: usize,
+    /// Rows appended by this patch.
+    pub appended: usize,
+    /// Distinct rows deleted by this patch.
+    pub deleted: usize,
+    /// Content hash of the snapshot before the patch.
+    pub old_hash: u64,
+    /// Content hash after — the server keys caches and jobs on this.
+    pub new_hash: u64,
+}
+
+/// Why [`DatasetRegistry::patch`] applied nothing.
+#[derive(Debug)]
+pub enum PatchError {
+    /// No patchable upload of that name (unknown, built-in, or uploaded
+    /// without value dictionaries).
+    NotFound,
+    /// The patch touches more rows than [`MAX_PATCH_ROWS`].
+    TooLarge {
+        /// Rows the patch touches.
+        rows: usize,
+    },
+    /// Validation or dictionary failure from the store; the store is
+    /// unchanged.
+    Relation(RelationError),
+}
+
 enum Stored {
     /// A generated built-in (or a value-less relation inserted directly in
     /// tests): immutable.
     Static(Arc<Relation>),
-    /// An upload with its incremental engine: patchable.
-    Engine(Arc<DatasetEngine>),
+    /// A CSV upload: the snapshot of its current generation, and the row
+    /// store patches edit to make the next one.
+    Upload {
+        snapshot: Arc<Relation>,
+        rows: Arc<Mutex<DeltaStore>>,
+    },
 }
 
 impl Stored {
-    fn relation(&self) -> Arc<Relation> {
+    fn relation(&self) -> &Arc<Relation> {
         match self {
-            Stored::Static(r) => Arc::clone(r),
-            Stored::Engine(e) => e.merged(),
+            Stored::Static(r) | Stored::Upload { snapshot: r, .. } => r,
         }
     }
 }
@@ -113,7 +155,7 @@ impl DatasetRegistry {
             .unwrap_or_else(|e| e.into_inner())
             .get(name)
         {
-            return Some(stored.relation());
+            return Some(Arc::clone(stored.relation()));
         }
         // Built-in: generate outside any lock (seconds for the big ones),
         // then race to insert — first writer wins so every caller shares
@@ -123,24 +165,66 @@ impl DatasetRegistry {
         let entry = map
             .entry(name.to_string())
             .or_insert(Stored::Static(generated));
-        // lint:lock-order(inner -> state): resolving an uploaded dataset
-        // snapshots its delta engine (engine `state` mutex) under the
-        // registry map lock; the engine never calls back into the
-        // registry, so the reverse nesting cannot occur.
-        Some(entry.relation())
+        Some(Arc::clone(entry.relation()))
     }
 
-    /// The incremental engine behind `name`, if it is a patchable upload.
-    pub fn engine(&self, name: &str) -> Option<Arc<DatasetEngine>> {
-        match self
+    /// Applies `patch` (deletes before appends) to the upload `name` and
+    /// publishes the new generation's snapshot. Patches of one dataset
+    /// serialize on its row store, so snapshots publish in generation
+    /// order; lookups never wait for a patch.
+    ///
+    /// # Errors
+    ///
+    /// [`PatchError::NotFound`] when `name` is not a patchable upload (or
+    /// was replaced or removed while the patch ran); [`PatchError::TooLarge`]
+    /// over [`MAX_PATCH_ROWS`]; [`PatchError::Relation`] for invalid rows.
+    /// Nothing is applied in the first two cases, and the store is
+    /// unchanged in the third.
+    pub fn patch(&self, name: &str, patch: &RowPatch) -> Result<PatchOutcome, PatchError> {
+        let rows = match self
             .inner
             .read()
             .unwrap_or_else(|e| e.into_inner())
             .get(name)
         {
-            Some(Stored::Engine(e)) => Some(Arc::clone(e)),
-            _ => None,
+            Some(Stored::Upload { rows, .. }) => Arc::clone(rows),
+            _ => return Err(PatchError::NotFound),
+        };
+        if patch.rows_touched() > MAX_PATCH_ROWS {
+            return Err(PatchError::TooLarge {
+                rows: patch.rows_touched(),
+            });
         }
+        // A panic mid-patch leaves the store valid (apply validates before
+        // it mutates), so the poison flag carries no information.
+        let mut store = rows.lock().unwrap_or_else(|e| e.into_inner());
+        store.apply(patch).map_err(PatchError::Relation)?;
+        let snapshot = Arc::new(store.materialize().map_err(PatchError::Relation)?);
+        // lint:lock-order(rows -> inner): a patch publishes its snapshot
+        // while still holding its dataset's row store, so two patches of
+        // one dataset cannot publish out of order; the map lock is never
+        // held while acquiring a row store.
+        let mut map = self.inner.write().unwrap_or_else(|e| e.into_inner());
+        let current = match map.get_mut(name) {
+            Some(Stored::Upload {
+                snapshot: current,
+                rows: live,
+            }) if Arc::ptr_eq(live, &rows) => current,
+            _ => return Err(PatchError::NotFound),
+        };
+        let old = std::mem::replace(current, Arc::clone(&snapshot));
+        drop(map);
+        let mut deleted = patch.deletes.clone();
+        deleted.sort_unstable();
+        deleted.dedup();
+        Ok(PatchOutcome {
+            generation: store.generation(),
+            rows: store.num_rows(),
+            appended: patch.appends.len(),
+            deleted: deleted.len(),
+            old_hash: old.content_hash(),
+            new_hash: snapshot.content_hash(),
+        })
     }
 
     /// Whether `name` is one of the built-in benchmark datasets. Built-ins
@@ -175,17 +259,15 @@ impl DatasetRegistry {
     }
 
     /// Registers (or replaces — a fresh generation lineage) an uploaded
-    /// relation, wrapping it in an incremental engine when it carries value
-    /// dictionaries (every CSV upload does; raw-code relations fall back
-    /// to a static, unpatchable entry).
+    /// relation, patchable when it carries value dictionaries (every CSV
+    /// upload does; raw-code relations fall back to a static entry).
     pub fn insert(&self, name: &str, relation: Relation) -> Arc<Relation> {
         let arc = Arc::new(relation);
-        let stored = match DatasetEngine::new(
-            Arc::clone(&arc),
-            NullSemantics::NullsEqual,
-            EngineLimits::default(),
-        ) {
-            Ok(engine) => Stored::Engine(Arc::new(engine)),
+        let stored = match DeltaStore::from_relation(&arc, NullSemantics::NullsEqual) {
+            Ok(store) => Stored::Upload {
+                snapshot: Arc::clone(&arc),
+                rows: Arc::new(Mutex::new(store)),
+            },
             Err(_) => Stored::Static(Arc::clone(&arc)),
         };
         self.inner
@@ -239,8 +321,11 @@ mod tests {
         assert_eq!(a.num_rows(), 148);
         assert!(reg.get("no-such-dataset").is_none());
         assert!(
-            reg.engine("lymphography").is_none(),
-            "built-ins have no engine"
+            matches!(
+                reg.patch("lymphography", &RowPatch::default()),
+                Err(PatchError::NotFound)
+            ),
+            "built-ins are not patchable"
         );
     }
 
@@ -300,27 +385,70 @@ mod tests {
     fn value_backed_uploads_are_patchable_and_lookups_track_the_merge() {
         let reg = DatasetRegistry::new();
         reg.insert("mut", csv_like(&[["x", "1"], ["y", "2"]]));
-        let engine = reg.engine("mut").expect("CSV-style uploads get engines");
         let before = reg.get("mut").unwrap();
         assert_eq!(before.num_rows(), 2);
-        engine
-            .patch(&RowPatch {
-                deletes: vec![0],
-                appends: vec![
-                    vec![Value::from("z"), Value::from("3")],
-                    vec![Value::from("w"), Value::from("4")],
-                ],
-            })
+        let out = reg
+            .patch(
+                "mut",
+                &RowPatch {
+                    deletes: vec![0, 0],
+                    appends: vec![
+                        vec![Value::from("z"), Value::from("3")],
+                        vec![Value::from("w"), Value::from("4")],
+                    ],
+                },
+            )
             .unwrap();
+        assert_eq!(out.generation, 1);
+        assert_eq!((out.rows, out.appended, out.deleted), (3, 2, 1));
+        assert_eq!(out.old_hash, before.content_hash());
         let after = reg.get("mut").unwrap();
         assert_eq!(after.num_rows(), 3, "lookup sees the merged view");
         assert_eq!(before.num_rows(), 2, "old snapshots stay immutable");
+        assert_eq!(out.new_hash, after.content_hash());
         assert_ne!(before.content_hash(), after.content_hash());
         // Shapes in the listing follow the current generation.
         assert!(reg
             .list()
             .iter()
             .any(|(n, shape)| n == "mut" && *shape == Some((3, 2))));
+    }
+
+    #[test]
+    fn oversized_and_invalid_patches_change_nothing() {
+        let reg = DatasetRegistry::new();
+        reg.insert("mut", csv_like(&[["x", "1"], ["y", "2"]]));
+        let before = reg.get("mut").unwrap();
+        let big = RowPatch {
+            deletes: vec![0; MAX_PATCH_ROWS + 1],
+            appends: vec![],
+        };
+        assert!(matches!(
+            reg.patch("mut", &big),
+            Err(PatchError::TooLarge { rows }) if rows == MAX_PATCH_ROWS + 1
+        ));
+        let out_of_range = RowPatch {
+            deletes: vec![99],
+            appends: vec![],
+        };
+        assert!(matches!(
+            reg.patch("mut", &out_of_range),
+            Err(PatchError::Relation(RelationError::RowOutOfRange {
+                index: 99,
+                ..
+            }))
+        ));
+        assert!(Arc::ptr_eq(&before, &reg.get("mut").unwrap()));
+        let out = reg
+            .patch(
+                "mut",
+                &RowPatch {
+                    deletes: vec![1],
+                    appends: vec![],
+                },
+            )
+            .unwrap();
+        assert_eq!(out.generation, 1, "failed patches bumped nothing");
     }
 
     #[test]
@@ -346,18 +474,28 @@ mod tests {
         let r = Relation::from_codes(Schema::new(["A"]).unwrap(), vec![vec![0, 0, 1]]).unwrap();
         reg.insert("raw", r);
         assert!(reg.get("raw").is_some());
-        assert!(reg.engine("raw").is_none(), "no values, no engine");
+        assert!(
+            matches!(
+                reg.patch("raw", &RowPatch::default()),
+                Err(PatchError::NotFound)
+            ),
+            "no values, no row store"
+        );
     }
 
     #[test]
     fn reupload_starts_a_fresh_generation_lineage() {
         let reg = DatasetRegistry::new();
         reg.insert("gen", csv_like(&[["a", "1"]]));
-        let e1 = reg.engine("gen").unwrap();
+        let one_row = RowPatch {
+            deletes: vec![],
+            appends: vec![vec![Value::from("d"), Value::from("4")]],
+        };
+        assert_eq!(reg.patch("gen", &one_row).unwrap().generation, 1);
         reg.insert("gen", csv_like(&[["b", "2"], ["c", "3"]]));
-        let e2 = reg.engine("gen").unwrap();
-        assert!(!Arc::ptr_eq(&e1, &e2), "replacement replaces the engine");
-        assert_eq!(e2.generation(), 0, "fresh lineage starts at generation 0");
         assert_eq!(reg.get("gen").unwrap().num_rows(), 2);
+        let out = reg.patch("gen", &one_row).unwrap();
+        assert_eq!(out.generation, 1, "fresh lineage restarts the count");
+        assert_eq!(out.rows, 3);
     }
 }

@@ -11,15 +11,15 @@
 //!
 //! Handlers never compute: they resolve the dataset, claim or join a cache
 //! flight, and wait. Workers own the searches. One handler thread serves a
-//! connection for its whole keep-alive lifetime (up to
-//! `max_requests_per_conn` requests, closing after `idle_timeout` of
-//! silence), and the thread-per-connection spawn is bounded by a
-//! connection semaphore — connections over `max_connections` are shed
-//! with 503 + `Retry-After`. Overload is likewise shed at the queue
-//! (HTTP 429), never absorbed into memory. Shutdown (SIGTERM, SIGINT, or
-//! `POST /shutdown`) stops the accept loop, answers each persistent
-//! connection's in-flight request with `connection: close`, lets workers
-//! finish the jobs they hold, and fails the undrained backlog with 503.
+//! connection for its whole keep-alive lifetime (closing after
+//! `idle_timeout` of silence), and the thread-per-connection spawn is
+//! bounded by a connection semaphore — connections over
+//! `max_connections` are shed with 503 + `Retry-After`. Overload is
+//! likewise shed at the queue (HTTP 429), never absorbed into memory.
+//! Shutdown (SIGTERM, SIGINT, or `POST /shutdown`) stops the accept loop,
+//! answers each persistent connection's in-flight request with
+//! `connection: close`, lets workers finish the jobs they hold, and fails
+//! the undrained backlog with 503.
 //!
 //! ## API versions
 //!
@@ -60,12 +60,11 @@ use crate::cache::{CacheKey, CachedResult, JobResult, Lookup, ResultCache};
 use crate::http::{is_timeout, read_request, ChunkedBody, Request, RequestError, Response};
 use crate::metrics::Metrics;
 use crate::queue::{JobQueue, PushError};
-use crate::registry::{DatasetRegistry, RemoveOutcome};
+use crate::registry::{DatasetRegistry, PatchError, RemoveOutcome, MAX_PATCH_ROWS};
 use tane_core::{
     discover_approx_fds_with, discover_fds_with, discover_topk_fds_with, ApproxTaneConfig,
     LevelEvent, RankedFd, Storage, TaneConfig, TaneResult, TopKConfig, TopKEvent,
 };
-use tane_delta::{DatasetEngine, PatchError};
 use tane_relation::csv::{read_csv_from, CsvOptions};
 use tane_relation::{Relation, RowPatch, Value};
 use tane_util::Json;
@@ -128,9 +127,6 @@ pub struct ServerConfig {
     /// Concurrent connections served; excess connections are shed with
     /// 503 + `Retry-After` instead of spawning unbounded handler threads.
     pub max_connections: usize,
-    /// Requests one keep-alive connection may carry before the server
-    /// closes it (a fairness valve against connection squatting).
-    pub max_requests_per_conn: usize,
     /// How long a keep-alive connection may sit idle *between* requests
     /// before the server disconnects it.
     pub idle_timeout: Duration,
@@ -151,7 +147,6 @@ impl Default for ServerConfig {
             job_timeout: Duration::from_secs(120),
             cache_capacity: 256,
             max_connections: 1024,
-            max_requests_per_conn: 1000,
             idle_timeout: Duration::from_secs(10),
             disk_quota_bytes: crate::registry::DEFAULT_DISK_QUOTA_BYTES,
         }
@@ -175,12 +170,6 @@ struct Job {
     /// receivers turn sends into no-ops rather than errors that stop the
     /// search.
     events: Option<SyncSender<String>>,
-    /// The dataset's incremental engine, for patchable uploads. The worker
-    /// runs the merge-and-reverify path when `relation` is still the
-    /// engine's current generation (checked under the engine lock); after
-    /// a mid-queue patch it falls back to a plain search on the snapshot,
-    /// so the result stays coherent with the generation the request saw.
-    engine: Option<Arc<DatasetEngine>>,
 }
 
 /// State shared by every thread of one server.
@@ -394,19 +383,9 @@ fn run_job(shared: &Shared, job: Job) -> JobResult {
                 base,
                 ..ApproxTaneConfig::new(epsilon)
             };
-            job.engine
-                .as_ref()
-                .and_then(|e| e.discover_approx_for(&job.relation, &config, &mut on_level))
-                .unwrap_or_else(|| discover_approx_fds_with(&job.relation, &config, &mut on_level))
+            discover_approx_fds_with(&job.relation, &config, &mut on_level)
         }
-        DiscoverMode::Exact => job
-            .engine
-            .as_ref()
-            .and_then(|e| e.discover_exact_for(&job.relation, &base, &mut on_level))
-            .unwrap_or_else(|| discover_fds_with(&job.relation, &base, &mut on_level)),
-        // Ranked search runs on the request's snapshot directly — the
-        // incremental engine has no ranked re-verify path, and the result
-        // is cached under the snapshot's content hash either way.
+        DiscoverMode::Exact => discover_fds_with(&job.relation, &base, &mut on_level),
         DiscoverMode::TopK(k) => {
             let config = TopKConfig { base, k };
             discover_topk_fds_with(&job.relation, &config, &mut on_level, |ev: TopKEvent| {
@@ -504,10 +483,6 @@ fn shape_result(relation: &Relation, result: &TaneResult, levels: Vec<String>) -
         ("keys_found", Json::Num(s.keys_found as f64)),
         ("products", Json::Num(s.products as f64)),
         (
-            "partitions_supplied",
-            Json::Num(s.partitions_supplied as f64),
-        ),
-        (
             "g3_exact_computations",
             Json::Num(s.g3_exact_computations as f64),
         ),
@@ -596,8 +571,7 @@ fn shed_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
 /// The `BufReader` persists across requests, so bytes of a pipelined
 /// follow-up that arrived with an earlier read are served without touching
 /// the socket. The connection closes when the client asks (`Connection:
-/// close`), idles past `idle_timeout`, exhausts `max_requests_per_conn`,
-/// commits a framing error (answered, then closed — the stream position is
+/// close`), idles past `idle_timeout`, commits a framing error (answered, then closed — the stream position is
 /// no longer trustworthy, and reusing it is exactly the smuggling desync
 /// the parser exists to prevent), aborts a chunked stream mid-body, or
 /// when the server starts shutting down (drain: the in-flight request is
@@ -631,9 +605,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
                 }
                 served += 1;
                 let action = route(shared, &request);
-                let keep = request.keep_alive
-                    && served < shared.config.max_requests_per_conn as u64
-                    && !shared.shutting_down();
+                let keep = request.keep_alive && !shared.shutting_down();
                 (action, keep)
             }
             // The quiet ends of a keep-alive connection: the client hung
@@ -1011,8 +983,8 @@ fn upload_dataset(shared: &Shared, name: &str, body: &[u8]) -> Result<Response, 
 }
 
 /// `PATCH /v1/datasets/{name}/rows`: apply a row delta to an uploaded
-/// dataset's incremental engine, then evict the stale generation's cached
-/// results so later discoveries re-verify against the merged view.
+/// dataset, then evict the stale generation's cached results so later
+/// discoveries search the new snapshot.
 fn patch_rows(shared: &Shared, name: &str, body: &[u8]) -> Result<Response, ApiError> {
     if DatasetRegistry::is_builtin(name) {
         return Err(ApiError::new(
@@ -1021,17 +993,12 @@ fn patch_rows(shared: &Shared, name: &str, body: &[u8]) -> Result<Response, ApiE
             format!("dataset `{name}` is built-in and cannot be patched"),
         ));
     }
-    let engine = shared
-        .registry
-        .engine(name)
-        .ok_or_else(|| unknown_dataset(name))?;
     let patch = parse_patch(body).map_err(|msg| ApiError::new(400, "invalid-body", msg))?;
-    match engine.patch(&patch) {
+    match shared.registry.patch(name, &patch) {
         Ok(outcome) => {
             if outcome.new_hash != outcome.old_hash {
-                let evicted = shared.cache.evict_dataset(outcome.old_hash);
+                shared.cache.evict_dataset(outcome.old_hash);
                 shared.cache.mark_fresh(outcome.new_hash);
-                let _ = evicted;
             }
             Ok(Response::json(
                 200,
@@ -1048,10 +1015,11 @@ fn patch_rows(shared: &Shared, name: &str, body: &[u8]) -> Result<Response, ApiE
                 ]),
             ))
         }
-        Err(PatchError::TooLarge { rows, cap }) => Err(ApiError::new(
+        Err(PatchError::NotFound) => Err(unknown_dataset(name)),
+        Err(PatchError::TooLarge { rows }) => Err(ApiError::new(
             413,
             "patch-too-large",
-            format!("patch touches {rows} rows, cap is {cap}"),
+            format!("patch touches {rows} rows, cap is {MAX_PATCH_ROWS}"),
         )),
         Err(PatchError::Relation(e)) => Err(ApiError::new(400, "invalid-patch", e.to_string())),
     }
@@ -1359,7 +1327,6 @@ fn discover(shared: &Shared, request: &Request, versioned: bool) -> Result<Actio
             };
             let job = Job {
                 key,
-                engine: shared.registry.engine(&spec.dataset),
                 relation,
                 mode: spec.mode,
                 max_lhs: spec.max_lhs,

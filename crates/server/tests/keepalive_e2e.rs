@@ -234,27 +234,6 @@ fn idle_connections_are_disconnected() {
 }
 
 #[test]
-fn request_cap_closes_the_connection() {
-    let config = ServerConfig {
-        max_requests_per_conn: 2,
-        ..ServerConfig::default()
-    };
-    let server = Server::start("127.0.0.1:0", config).unwrap();
-    let mut conn = Conn::open(server.local_addr());
-
-    conn.send("GET", "/health", b"", false);
-    assert_eq!(conn.recv().connection, "keep-alive");
-    conn.send("GET", "/health", b"", false);
-    let second = conn.recv();
-    assert_eq!(second.status, 200);
-    assert_eq!(second.connection, "close", "the cap closes the connection");
-    assert!(conn.at_eof());
-
-    server.shutdown();
-    server.wait();
-}
-
-#[test]
 fn connections_over_the_cap_are_shed_with_503() {
     let config = ServerConfig {
         max_connections: 1,

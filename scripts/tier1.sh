@@ -64,10 +64,10 @@ cargo test -q -p tane-server --test keepalive_e2e --test service_e2e --test stre
 # Parallel-runtime determinism: threads in {1,2,4,8} must be byte-identical
 # on both storage backends, exact and approximate mode.
 cargo test -q -p tane-core --test parallel_determinism
-# Incremental determinism: delta-engine runs (merge-and-reverify) must be
-# byte-identical to from-scratch runs at any thread count, exact and
-# approximate, and must do strictly fewer partition products.
-cargo test -q -p tane-delta --test incremental_determinism
+# Patched generations: a DeltaStore generation must discover byte-identically
+# to the same rows re-ingested from scratch, exact and approximate, memory
+# and disk, threads {1,8}, under both null semantics.
+cargo test -q -p tane-core --test patched_generations
 cargo test -q -p tane-server --test registry_lifecycle_e2e
 
 echo "tier1: OK"
