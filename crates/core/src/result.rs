@@ -52,11 +52,11 @@ pub struct LevelEvent {
     /// The minimal dependencies first proven at this level, canonical
     /// order within the level.
     pub new_minimal_fds: Vec<Fd>,
-    /// Time spent on this level's validity tests and pruning (the event
-    /// fires *without waiting for* the next level's partitions — on the
-    /// parallel runtime it overlaps their computation — so this is not
-    /// the same quantity as [`TaneStats::level_times`], which also
-    /// charges each level for producing its successor).
+    /// Time from the start of the level to the event: validity tests,
+    /// pruning and the superkey-closure recovery. The event fires *before*
+    /// the next level's partitions are computed, so this is not the same
+    /// quantity as [`TaneStats::level_times`], which also charges each
+    /// level for producing its successor.
     pub level_time: Duration,
     /// Partition bytes resident in the store when the level finished.
     pub partitions_bytes: usize,
@@ -101,8 +101,8 @@ pub struct TaneStats {
     /// (disk storage only).
     pub store_evictions: u64,
     /// Partitions pinned resident by a read phase — each pin is one cold
-    /// fetch that the snapshot machinery kept stable for the rest of its
-    /// level (disk storage only; see DESIGN §13).
+    /// fetch that stays cached until the level's products are gathered
+    /// (disk storage only; see DESIGN §13).
     pub store_pins: u64,
     /// Eviction sweeps that ended with the resident set still over the
     /// cache budget because everything left was pinned or active — e.g. a
@@ -126,16 +126,17 @@ pub struct TaneStats {
     /// one full failed scan a worker parks). High spin relative to busy
     /// means grains are too small for the level shape.
     pub worker_spin: Duration,
-    /// Total time pool workers spent executing dispatched work, summed
+    /// Total time spent executing batch work — level-1 construction,
+    /// products (their parent fetches included) and batched `g3` — summed
     /// across workers (can exceed `elapsed` when several run at once). The
     /// serial (`threads == 1`) and under-the-gate inline paths record
-    /// their compute sections here too, so utilization is comparable
-    /// against any worker count.
+    /// their batches here too, so utilization is comparable against any
+    /// worker count.
     pub worker_busy: Duration,
-    /// Time the product stage spent waiting on partition fetches: on the
-    /// pool, each worker's own fetch time (attributed per worker in the
-    /// pool's counters); on the serial path, the whole up-front fetch
-    /// phase.
+    /// Time products spent fetching their parent partition from the disk
+    /// store, summed over the workers that fetched (the caller alone on
+    /// the inline path); a part of `worker_busy`, not an addition to it.
+    /// Always 0 on memory storage, where a fetch is a map lookup.
     pub fetch_stall: Duration,
     /// Ranked mode only: candidates skipped *before* their exact `g3` was
     /// computed, because the cheap lower bound `e(X\{A}) − e(X)` could not

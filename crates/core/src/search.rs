@@ -55,7 +55,6 @@ use crate::lattice::{
 use crate::rank::{RankState, TopKEvent};
 use crate::result::{LevelEvent, TaneError, TaneResult, TaneStats};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 use tane_partition::{
     class_labels, g3_removed_rows_by_labels, refine_with_scratch, G3Bounds, MemoryStore,
     PartitionStore, ReadPhase, RefineScratch, SegmentStore, StrippedPartition,
@@ -211,8 +210,8 @@ impl Discovery {
 ///
 /// Reads (`get`, `elements_hint`) take `&self` and are safe from any worker
 /// thread; every mutation stays `&mut self` and therefore on the serial
-/// driver — the aliasing rules are what let the segment store run its
-/// snapshot machinery without a global lock (DESIGN §13).
+/// search thread, and a read phase borrows the store, so no mutation can
+/// run while one is open (DESIGN §13).
 enum Store {
     Memory(MemoryStore),
     Disk(Box<SegmentStore>),
@@ -271,21 +270,12 @@ impl Store {
         }
     }
 
-    /// Opens a snapshot pin on the disk store (memory storage needs none):
-    /// partitions fetched until the matching [`end_read_phase`] stay
-    /// resident, and segments removed meanwhile stay on disk.
-    ///
-    /// [`end_read_phase`]: Store::end_read_phase
-    fn begin_read_phase(&self) -> Option<ReadPhase> {
+    /// Opens a read phase on the disk store (memory storage needs none):
+    /// partitions fetched until the returned guard drops stay resident.
+    fn begin_read_phase(&self) -> Option<ReadPhase<'_>> {
         match self {
             Store::Memory(_) => None,
             Store::Disk(s) => Some(s.begin_read_phase()),
-        }
-    }
-
-    fn end_read_phase(&self, phase: Option<ReadPhase>) {
-        if let (Store::Disk(s), Some(p)) = (self, phase) {
-            s.end_read_phase(p);
         }
     }
 
@@ -310,7 +300,7 @@ impl Store {
         }
     }
 
-    /// (evictions, snapshot pins, oversized-resident sweeps).
+    /// (evictions, read-phase pins, oversized-resident sweeps).
     fn cache_counters(&self) -> (u64, u64, u64) {
         match self {
             Store::Memory(_) => (0, 0, 0),
@@ -345,9 +335,6 @@ struct ParallelRuntime {
     /// [`singleton_partitions`](Self::singleton_partitions) and read-only
     /// afterwards.
     labels: Vec<Vec<u32>>,
-    /// Accumulated time the product stage waited on partition fetches
-    /// (see [`TaneStats::fetch_stall`]).
-    fetch_stall: Duration,
 }
 
 /// One next-level partition to compute: `π̂_set = π̂_parent · π̂_{attr}`,
@@ -367,42 +354,51 @@ impl ParallelRuntime {
                 .map(|_| Mutex::new(RefineScratch::new(n_rows)))
                 .collect(),
             labels: Vec::new(),
-            fetch_stall: Duration::ZERO,
         }
     }
 
-    /// True when a batch of estimated `Σ‖π̂‖ = est_elements` is worth
-    /// dispatching to the pool.
-    fn engage(&self, est_elements: usize) -> bool {
-        self.pool.threads() > 1 && est_elements >= PARALLEL_MIN_ELEMENTS
+    /// `f(worker, i)` for every `i in 0..n`, in index order. A batch of
+    /// estimated work `Σ‖π̂‖ = est_elements` goes to the pool once it
+    /// crosses [`PARALLEL_MIN_ELEMENTS`]; below that it runs inline on the
+    /// caller as worker 0, with its time recorded as busy so utilization
+    /// stays comparable across worker counts.
+    fn map<T: Send>(
+        &self,
+        n: usize,
+        est_elements: usize,
+        f: impl Fn(usize, usize) -> T + Sync,
+    ) -> Vec<T> {
+        let threads = self.pool.threads();
+        if threads > 1 && est_elements >= PARALLEL_MIN_ELEMENTS {
+            return self
+                .pool
+                .run_indexed(n, adaptive_grain(n, est_elements, threads), f);
+        }
+        let busy_sw = Stopwatch::start();
+        let out = (0..n).map(|i| f(0, i)).collect();
+        self.pool.add_busy(busy_sw.elapsed());
+        out
     }
 
-    /// The level's products, in candidate order, with the caller's serial
-    /// `driver` tail overlapped against the compute whenever the pool is
-    /// engaged: workers chew through the products while the driver thread
-    /// runs `driver()` — the observer event and the approximate-mode
-    /// superkey-closure scan of the *previous* level — and only then joins
-    /// in as worker 0. The driver closure must not read any product
-    /// output; it runs concurrently with them.
+    /// The level's products, in candidate order.
     ///
     /// Each product is a column-probe refinement of *one* join parent —
     /// the one with fewer stored elements, chosen from index metadata
     /// before any partition is touched, so the choice (and with it every
-    /// disk counter) is identical at every thread count. Workers fetch
-    /// that parent straight from the shared store (`get` is `&self`): disk
+    /// disk counter) is identical at every thread count. Each product
+    /// fetches its parent from the shared store (`get` is `&self`): disk
     /// reads from different workers proceed concurrently as positioned
     /// reads of sealed segments, coalesced by the store's single-flight
     /// cache. The whole batch runs inside one *read phase*, so every
     /// distinct parent costs exactly one disk read no matter how many
     /// workers ask or in what order (DESIGN §13).
-    fn products_overlapped(
-        &mut self,
-        store: &mut Store,
+    fn products(
+        &self,
+        store: &Store,
         candidates: &[NextLevelCandidate],
-        driver: impl FnOnce(),
     ) -> Result<Vec<(AttrSet, StrippedPartition)>, TaneError> {
         if candidates.is_empty() {
-            driver();
+            // No phase either: closing one runs an eviction sweep.
             return Ok(Vec::new());
         }
         // Parent choice and work estimate from index metadata alone — no
@@ -434,74 +430,30 @@ impl ParallelRuntime {
                 }
             })
             .collect();
-        let phase = store.begin_read_phase();
-        let result = self.products_inner(store, &plan, est, driver);
-        store.end_read_phase(phase);
-        result
-    }
-
-    fn products_inner(
-        &mut self,
-        store: &Store,
-        plan: &[Refinement],
-        est: usize,
-        driver: impl FnOnce(),
-    ) -> Result<Vec<(AttrSet, StrippedPartition)>, TaneError> {
-        if self.engage(est) {
-            let pool = &self.pool;
-            let scratches = &self.scratches;
-            let labels = &self.labels;
-            let grain = adaptive_grain(plan.len(), est, self.pool.threads());
-            let slots = self.pool.run_indexed_overlapped(
-                plan.len(),
-                grain,
-                move |worker, i| {
-                    let step = &plan[i];
+        let _phase = store.begin_read_phase();
+        // Gathered in candidate order, so on failure the error reported is
+        // the first failing *candidate*, whichever worker hit one first.
+        self.map(plan.len(), est, |worker, i| {
+            let step = &plan[i];
+            let parent = match store {
+                // A map lookup cannot stall, and the two clock reads a
+                // timed fetch takes cost more than the lookup itself.
+                Store::Memory(_) => store.get(step.parent),
+                Store::Disk(_) => {
                     let fetch_sw = Stopwatch::start();
                     let parent = store.get(step.parent);
-                    pool.add_stall(worker, fetch_sw.elapsed());
-                    parent.map(|p| {
-                        let mut scratch = scratches[worker].lock().expect("refine scratch");
-                        (
-                            step.set,
-                            refine_with_scratch(&p, &labels[step.attr], &mut scratch),
-                        )
-                    })
-                },
-                driver,
-            );
-            // Slots are gathered in candidate order, so on failure the
-            // error reported is the first failing *candidate*, independent
-            // of which worker hit an error first.
-            let mut out = Vec::with_capacity(slots.len());
-            for slot in slots {
-                out.push(slot?);
-            }
-            Ok(out)
-        } else {
-            driver();
-            let fetch_sw = Stopwatch::start();
-            let mut parents = Vec::with_capacity(plan.len());
-            for step in plan {
-                parents.push(store.get(step.parent)?);
-            }
-            self.fetch_stall += fetch_sw.elapsed();
-            let busy_sw = Stopwatch::start();
-            let mut scratch = self.scratches[0].lock().expect("refine scratch");
-            let out = plan
-                .iter()
-                .zip(&parents)
-                .map(|(step, p)| {
-                    (
-                        step.set,
-                        refine_with_scratch(p, &self.labels[step.attr], &mut scratch),
-                    )
-                })
-                .collect();
-            drop(scratch);
-            self.pool.add_busy(busy_sw.elapsed());
-            Ok(out)
-        }
+                    self.pool.add_stall(worker, fetch_sw.elapsed());
+                    parent
+                }
+            }?;
+            let mut scratch = self.scratches[worker].lock().expect("refine scratch");
+            Ok((
+                step.set,
+                refine_with_scratch(&parent, &self.labels[step.attr], &mut scratch),
+            ))
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Level-1 singleton partitions, in attribute order. Also records
@@ -509,23 +461,14 @@ impl ParallelRuntime {
     /// probes.
     fn singleton_partitions(&mut self, relation: &Relation) -> Vec<StrippedPartition> {
         let n_attrs = relation.num_attrs();
-        let build = |a: usize| {
-            let pi = StrippedPartition::from_column(relation.column_codes(a));
-            let labels = class_labels(&pi);
-            (pi, labels)
-        };
         // Counting sort over a column touches all |r| rows, so the work
         // estimate is |R|·|r| (singleton partitions have ‖π̂‖ ≤ |r|).
         let est = n_attrs.saturating_mul(relation.num_rows());
-        let built: Vec<(StrippedPartition, Vec<u32>)> = if self.engage(est) {
-            let grain = adaptive_grain(n_attrs, est, self.pool.threads());
-            self.pool.run_indexed(n_attrs, grain, |_, a| build(a))
-        } else {
-            let busy_sw = Stopwatch::start();
-            let out = (0..n_attrs).map(build).collect();
-            self.pool.add_busy(busy_sw.elapsed());
-            out
-        };
+        let built = self.map(n_attrs, est, |_, a| {
+            let pi = StrippedPartition::from_column(relation.column_codes(a));
+            let labels = class_labels(&pi);
+            (pi, labels)
+        });
         let (partitions, labels) = built.into_iter().unzip();
         self.labels = labels;
         partitions
@@ -535,23 +478,11 @@ impl ParallelRuntime {
     /// each given as `(π̂_{X\{A}}, A)`, in input order.
     fn g3_batch(&self, pending: &[(Arc<StrippedPartition>, usize)]) -> Vec<usize> {
         let est: usize = pending.iter().map(|(sub, _)| sub.num_elements()).sum();
-        let g3 = |scratch: &mut RefineScratch, (pi_sub, a): &(Arc<StrippedPartition>, usize)| {
-            g3_removed_rows_by_labels(pi_sub, &self.labels[*a], scratch)
-        };
-        if self.engage(est) {
-            let grain = adaptive_grain(pending.len(), est, self.pool.threads());
-            self.pool.run_indexed(pending.len(), grain, |worker, i| {
-                let mut scratch = self.scratches[worker].lock().expect("refine scratch");
-                g3(&mut scratch, &pending[i])
-            })
-        } else {
-            let busy_sw = Stopwatch::start();
-            let mut scratch = self.scratches[0].lock().expect("refine scratch");
-            let out = pending.iter().map(|t| g3(&mut scratch, t)).collect();
-            drop(scratch);
-            self.pool.add_busy(busy_sw.elapsed());
-            out
-        }
+        self.map(pending.len(), est, |worker, i| {
+            let (pi_sub, a) = &pending[i];
+            let mut scratch = self.scratches[worker].lock().expect("refine scratch");
+            g3_removed_rows_by_labels(pi_sub, &self.labels[*a], &mut scratch)
+        })
     }
 }
 
@@ -660,59 +591,45 @@ fn run(
             rank.as_mut(),
         );
 
-        // What remains of the level is serial driver work — the
-        // approximate-mode superkey-closure recovery and the observer
-        // event — and it no longer gates the next level's products: in the
-        // overlapped flow below, `level_tail` runs on the driver thread
-        // *while* the pool multiplies the next level's partitions. That is
-        // legal because the tail reads only level-ℓ metadata (never a
-        // product output), and the products read only the frozen pruned
-        // level (never `disc`, `stats`, or the observer's state); see
-        // DESIGN §9 for the full argument.
-        //
-        // Ranked mode instead runs the tail *now*: its superkey-closure
-        // scores feed the early-exit decision, which must be taken before
-        // the next level's products are paid for — early exit is the whole
-        // point of the ranked workload (DESIGN §12).
-        if rank.is_some() {
-            level_tail(
-                config,
-                mode,
-                &current,
-                &found_keys,
-                n_rows,
-                &mut stats,
-                &mut disc,
-                on_level,
-                on_topk,
-                rank.as_mut(),
-                ell,
-                fds_before,
-                &level_sw,
-                store.resident_bytes(),
-            );
+        // The level's tail. Its dependency set is final once PRUNE returns
+        // — deeper levels only ever have larger LHSs — so the tail recovers
+        // the dependencies key pruning cut away, reports the level, and only
+        // then are the next level's products paid for. Ranked mode needs
+        // this order: its recovered scores feed the early-exit decision.
+        match mode {
+            Mode::Approx { epsilon, .. } if config.key_pruning => {
+                superkey_closure_tests(
+                    config,
+                    &current,
+                    &found_keys,
+                    epsilon,
+                    n_rows,
+                    &mut stats,
+                    &mut disc,
+                );
+            }
+            // For a live `W` and rhs `A` with `W ∪ {A}` above a pruned key,
+            // `g3(W → A) = e(W)` exactly.
+            Mode::TopK { .. } if config.key_pruning => {
+                let rank = rank.as_mut().expect("ranked mode carries rank state");
+                topk_superkey_closure(config, &current, &found_keys, &mut stats, rank);
+            }
+            _ => {}
+        }
+        on_level(LevelEvent {
+            level: ell,
+            new_minimal_fds: canonical_fds(disc.fds[fds_before..].to_vec()),
+            level_time: level_sw.elapsed(),
+            partitions_bytes: store.resident_bytes(),
+        });
+        // Ranked mode: one heap snapshot per level on which the heap
+        // changed, after the level line — the stream's anytime result.
+        if let Some(heap) = rank.as_mut().and_then(RankState::take_snapshot) {
+            on_topk(TopKEvent { level: ell, heap });
         }
 
         // LHS size cap: dependencies tested at level ℓ+1 have LHS size ℓ.
         if config.max_lhs.is_some_and(|m| ell > m) {
-            if rank.is_none() {
-                level_tail(
-                    config,
-                    mode,
-                    &current,
-                    &found_keys,
-                    n_rows,
-                    &mut stats,
-                    &mut disc,
-                    on_level,
-                    on_topk,
-                    None,
-                    ell,
-                    fds_before,
-                    &level_sw,
-                    store.resident_bytes(),
-                );
-            }
             stats.level_times.push(level_sw.elapsed());
             break;
         }
@@ -727,39 +644,11 @@ fn run(
             break;
         }
 
-        let candidates = generate_next_level(&current);
-        let mut next = Level::new();
         // Each next-level partition refines one parent by a label column
         // per Lemma 3 — on the pool when the level's estimated element
-        // volume warrants it, with every worker fetching its own parents,
-        // and the level's serial tail overlapped against the compute.
-        // `partitions_bytes` is captured before dispatch: the store is
-        // untouched until the products are gathered, so the observer sees
-        // the same value as the serial ordering.
-        let partitions_bytes = store.resident_bytes();
-        let produced = if rank.is_some() {
-            // Ranked mode already ran the tail above.
-            runtime.products_overlapped(&mut store, &candidates, || {})?
-        } else {
-            runtime.products_overlapped(&mut store, &candidates, || {
-                level_tail(
-                    config,
-                    mode,
-                    &current,
-                    &found_keys,
-                    n_rows,
-                    &mut stats,
-                    &mut disc,
-                    on_level,
-                    on_topk,
-                    None,
-                    ell,
-                    fds_before,
-                    &level_sw,
-                    partitions_bytes,
-                )
-            })?
-        };
+        // volume warrants it, with every worker fetching its own parents.
+        let produced = runtime.products(&store, &generate_next_level(&current))?;
+        let mut next = Level::new();
         stats.products += produced.len();
         // Entries join `next` in exact candidate order: entry order within
         // a level feeds the found-so-far minimality checks.
@@ -808,9 +697,7 @@ fn run(
     stats.worker_parks = totals.parks;
     stats.worker_spin = totals.spin;
     stats.worker_busy = runtime.pool.busy_time();
-    // Serial fetch phases accumulate on the runtime; pool workers attribute
-    // their fetch time per worker into the pool's counters.
-    stats.fetch_stall = runtime.fetch_stall + totals.stall;
+    stats.fetch_stall = totals.stall;
     stats.elapsed = sw.elapsed();
     found_keys.sort_unstable();
     if let Some(r) = rank {
@@ -831,66 +718,6 @@ fn run(
         ranked: None,
         stats,
     })
-}
-
-/// The serial tail of a lattice level: everything that must happen after
-/// PRUNE but does not touch the next level's partitions. In the overlapped
-/// flow this runs on the driver thread while the pool computes the next
-/// level's products (see [`ParallelRuntime::products_overlapped`]); the
-/// level's dependency set is final the moment PRUNE returns, so the
-/// observer event here carries exactly the dependencies a serial run would
-/// report, in the same order.
-#[allow(clippy::too_many_arguments)]
-fn level_tail(
-    config: &TaneConfig,
-    mode: Mode,
-    current: &Level,
-    found_keys: &[AttrSet],
-    n_rows: usize,
-    stats: &mut TaneStats,
-    disc: &mut Discovery,
-    on_level: &mut dyn FnMut(LevelEvent),
-    on_topk: &mut dyn FnMut(TopKEvent),
-    mut rank: Option<&mut RankState>,
-    ell: usize,
-    fds_before: usize,
-    level_sw: &Stopwatch,
-    partitions_bytes: usize,
-) {
-    // Approximate mode only: recover the dependencies whose test nodes
-    // key pruning cut away (see the module docs).
-    if let Mode::Approx { epsilon, .. } = mode {
-        if config.key_pruning {
-            superkey_closure_tests(config, current, found_keys, epsilon, n_rows, stats, disc);
-        }
-    }
-    // Ranked mode: the same recovery, scored — for a live `W` and rhs `A`
-    // with `W ∪ {A}` above a pruned key, `g3(W → A) = e(W)` exactly.
-    if let Mode::TopK { .. } = mode {
-        let rank = rank.as_deref_mut().expect("ranked mode carries rank state");
-        if config.key_pruning {
-            topk_superkey_closure(config, current, found_keys, stats, rank);
-        }
-    }
-
-    // The level's dependency set is final here — deeper levels only ever
-    // have larger LHSs, so nothing below can shadow a dependency found at
-    // this level. Streaming consumers receive the event while the next
-    // level's partitions are still being producted.
-    on_level(LevelEvent {
-        level: ell,
-        new_minimal_fds: canonical_fds(disc.fds[fds_before..].to_vec()),
-        level_time: level_sw.elapsed(),
-        partitions_bytes,
-    });
-
-    // Ranked mode: one heap snapshot per level on which the heap changed,
-    // after the level line — the stream's anytime result.
-    if let Some(rank) = rank {
-        if let Some(heap) = rank.take_snapshot() {
-            on_topk(TopKEvent { level: ell, heap });
-        }
-    }
 }
 
 /// COMPUTE-DEPENDENCIES(L_ℓ) — paper, Section 5.

@@ -3,173 +3,354 @@
 //! combination of pruning rules, exact or approximate, with or without the
 //! g3 bounds — produces exactly the brute-force minimal cover.
 //!
-//! Requires the `proptest` cargo feature (and a restored `proptest`
-//! dev-dependency): the offline build environment cannot resolve registry
-//! crates, so this suite is compiled out of the default build.
-#![cfg(feature = "proptest")]
+//! The differential suite runs in every build: SplitMix64-driven random
+//! relations (std only) checked against the brute-force oracles, with a
+//! failing case shrunk by deleting rows before it is reported.
+//!
+//! The proptest properties in `props` further down require the `proptest`
+//! cargo feature (and a restored `proptest` dev-dependency): the offline
+//! build environment cannot resolve registry crates, so that module is
+//! compiled out of the default build.
 
-use proptest::prelude::*;
-use tane_baselines::{brute_force_approx_fds, brute_force_fds, verify_minimal_cover};
+use tane_baselines::{brute_force_approx_fds, brute_force_fds, fd_g3_rows, verify_minimal_cover};
 use tane_core::{discover_approx_fds, discover_fds, ApproxTaneConfig, TaneConfig};
 use tane_relation::{Relation, Schema};
+use tane_util::SplitMix64;
 
-/// Random relations with up to 6 attributes and 30 rows; domains of size ≤ 3
-/// make both valid FDs and approximate FDs frequent.
-fn relation() -> impl Strategy<Value = Relation> {
-    (1usize..=6, 0usize..=30).prop_flat_map(|(n_attrs, n_rows)| {
-        proptest::collection::vec(
-            proptest::collection::vec(0u32..3, n_rows..=n_rows),
-            n_attrs..=n_attrs,
-        )
-        .prop_map(move |cols| {
-            Relation::from_codes(Schema::anonymous(cols.len()).unwrap(), cols).unwrap()
-        })
-    })
+/// Random relations per domain checked by the differential suite.
+const CASES: usize = 400;
+
+/// A random relation. Dense: up to 6 attributes and 30 rows over codes
+/// `< 3`, so valid and approximate dependencies are frequent. Keyish: 2–5
+/// attributes and 4–24 rows over codes `< 12`, so keys and near-keys are
+/// common, stressing key pruning and the superkey-closure recovery.
+fn random_relation(rng: &mut SplitMix64, keyish: bool) -> Relation {
+    let (attrs, rows, codes) = if keyish {
+        (2 + rng.usize_below(4), 4 + rng.usize_below(21), 12)
+    } else {
+        (1 + rng.usize_below(6), rng.usize_below(31), 3)
+    };
+    let columns = (0..attrs)
+        .map(|_| (0..rows).map(|_| rng.u32_below(codes)).collect())
+        .collect();
+    Relation::from_codes(Schema::anonymous(attrs).unwrap(), columns).unwrap()
 }
 
-/// Wider-domain relations: keys and near-keys are common, stressing key
-/// pruning.
-fn keyish_relation() -> impl Strategy<Value = Relation> {
-    (2usize..=5, 4usize..=24).prop_flat_map(|(n_attrs, n_rows)| {
-        proptest::collection::vec(
-            proptest::collection::vec(0u32..12, n_rows..=n_rows),
-            n_attrs..=n_attrs,
-        )
-        .prop_map(move |cols| {
-            Relation::from_codes(Schema::anonymous(cols.len()).unwrap(), cols).unwrap()
-        })
-    })
+fn columns(r: &Relation) -> Vec<Vec<u32>> {
+    (0..r.num_attrs())
+        .map(|a| r.column_codes(a).to_vec())
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn exact_default_matches_oracle(r in relation()) {
-        let got = discover_fds(&r, &TaneConfig::default()).unwrap();
-        let want = brute_force_fds(&r, r.num_attrs());
-        prop_assert_eq!(&got.fds, &want);
-        prop_assert!(verify_minimal_cover(&r, &got.fds, r.num_attrs(), 0.0).is_empty());
+fn without_row(r: &Relation, t: usize) -> Relation {
+    let mut cols = columns(r);
+    for c in &mut cols {
+        c.remove(t);
     }
+    Relation::from_codes(Schema::anonymous(cols.len()).unwrap(), cols).unwrap()
+}
 
-    #[test]
-    fn exact_all_ablations_match_oracle(r in relation()) {
-        let want = brute_force_fds(&r, r.num_attrs());
-        for rhs_plus in [false, true] {
-            for key in [false, true] {
-                for empty in [false, true] {
-                    let config = TaneConfig {
-                        rhs_plus_pruning: rhs_plus,
-                        key_pruning: key,
-                        empty_cplus_pruning: empty,
-                        ..TaneConfig::default()
-                    };
-                    let got = discover_fds(&r, &config).unwrap();
-                    prop_assert_eq!(
-                        &got.fds, &want,
-                        "rhs_plus={} key={} empty={}", rhs_plus, key, empty
-                    );
+/// The drawn parameters of one case: threshold, LHS cap and copy count.
+#[derive(Debug, Clone, Copy)]
+struct Params {
+    eps: f64,
+    max_lhs: usize,
+    copies: usize,
+}
+
+/// Checks every property of the `props` module on `r`.
+fn check(r: &Relation, p: Params) -> Result<(), String> {
+    let n = r.num_attrs();
+    let exact = |config: &TaneConfig| discover_fds(r, config).unwrap().fds;
+    let approx = |config: &ApproxTaneConfig| discover_approx_fds(r, config).unwrap().fds;
+    let want = brute_force_fds(r, n);
+    let got = exact(&TaneConfig::default());
+    if got != want {
+        return Err(format!("exact: got {got:?}, oracle {want:?}"));
+    }
+    if !verify_minimal_cover(r, &got, n, 0.0).is_empty() {
+        return Err("exact: not a verified minimal cover".into());
+    }
+    for rhs_plus in [false, true] {
+        for key in [false, true] {
+            for empty in [false, true] {
+                let config = TaneConfig {
+                    rhs_plus_pruning: rhs_plus,
+                    key_pruning: key,
+                    empty_cplus_pruning: empty,
+                    ..TaneConfig::default()
+                };
+                if exact(&config) != want {
+                    return Err(format!(
+                        "ablation rhs_plus={rhs_plus} key={key} empty={empty}"
+                    ));
                 }
             }
         }
     }
-
-    #[test]
-    fn exact_keyish_matches_oracle(r in keyish_relation()) {
-        let got = discover_fds(&r, &TaneConfig::default()).unwrap();
-        prop_assert_eq!(got.fds, brute_force_fds(&r, r.num_attrs()));
+    // Tiny cache forces eviction and reload on every level.
+    if exact(&TaneConfig::disk(256)) != got {
+        return Err("disk(256) differs from memory".into());
     }
 
-    #[test]
-    fn disk_storage_matches_memory(r in relation()) {
-        let mem = discover_fds(&r, &TaneConfig::default()).unwrap();
-        // Tiny cache forces eviction and reload on every level.
-        let disk = discover_fds(&r, &TaneConfig::disk(256)).unwrap();
-        prop_assert_eq!(mem.fds, disk.fds);
-    }
-
-    #[test]
-    fn approx_matches_oracle(r in relation(), eps in 0.0f64..=0.6) {
-        let got = discover_approx_fds(&r, &ApproxTaneConfig::new(eps)).unwrap();
-        let want = brute_force_approx_fds(&r, r.num_attrs(), eps);
-        prop_assert_eq!(&got.fds, &want, "eps={}", eps);
-    }
-
-    #[test]
-    fn approx_keyish_matches_oracle(r in keyish_relation(), eps in 0.0f64..=0.4) {
-        // Keys are plentiful here: this stresses the superkey-closure
-        // recovery of dependencies cut by key pruning.
-        let got = discover_approx_fds(&r, &ApproxTaneConfig::new(eps)).unwrap();
-        let want = brute_force_approx_fds(&r, r.num_attrs(), eps);
-        prop_assert_eq!(&got.fds, &want, "eps={}", eps);
-    }
-
-    #[test]
-    fn approx_ablations_match(r in relation(), eps in 0.0f64..=0.5) {
-        let want = brute_force_approx_fds(&r, r.num_attrs(), eps);
-        for use_bounds in [false, true] {
-            for key in [false, true] {
-                let config = ApproxTaneConfig {
-                    base: TaneConfig { key_pruning: key, ..TaneConfig::default() },
-                    use_g3_bounds: use_bounds,
-                    ..ApproxTaneConfig::new(eps)
-                };
-                let got = discover_approx_fds(&r, &config).unwrap();
-                prop_assert_eq!(&got.fds, &want, "eps={} bounds={} key={}", eps, use_bounds, key);
+    let eps = p.eps;
+    let want = brute_force_approx_fds(r, n, eps);
+    for use_bounds in [false, true] {
+        for key in [false, true] {
+            let config = ApproxTaneConfig {
+                base: TaneConfig {
+                    key_pruning: key,
+                    ..TaneConfig::default()
+                },
+                use_g3_bounds: use_bounds,
+                ..ApproxTaneConfig::new(eps)
+            };
+            let got = approx(&config);
+            if got != want {
+                return Err(format!(
+                    "approx eps={eps} bounds={use_bounds} key={key}: got {got:?}, oracle {want:?}"
+                ));
             }
         }
     }
 
-    #[test]
-    fn paper_faithful_heuristic_is_valid_and_exact_at_zero(r in relation(), eps in 0.0f64..=0.5) {
-        // The aggressive-rhs+ heuristic may return an incomplete cover for
-        // eps > 0, but every reported dependency must still satisfy the
-        // threshold, and at eps = 0 it must equal the exact algorithm.
-        let got = discover_approx_fds(&r, &ApproxTaneConfig::paper_faithful(eps)).unwrap();
-        let n = r.num_rows();
-        for fd in &got.fds {
-            prop_assert!(!fd.is_trivial());
-            let g3 = if n == 0 {
-                0.0
-            } else {
-                tane_baselines::fd_g3_rows(&r, fd.lhs, fd.rhs) as f64 / n as f64
-            };
-            prop_assert!(g3 <= eps + 1e-12, "{} has g3 {} > {}", fd, g3, eps);
+    // The aggressive-rhs+ heuristic may return an incomplete cover for
+    // eps > 0, but every reported dependency must still satisfy the
+    // threshold, and at eps = 0 it must equal the exact algorithm.
+    let rows = r.num_rows();
+    for fd in approx(&ApproxTaneConfig::paper_faithful(eps)) {
+        let g3 = if rows == 0 {
+            0.0
+        } else {
+            fd_g3_rows(r, fd.lhs, fd.rhs) as f64 / rows as f64
+        };
+        if fd.is_trivial() || g3 > eps + 1e-12 {
+            return Err(format!("paper-faithful eps={eps}: {fd} has g3 {g3}"));
         }
-        let exact_zero = discover_approx_fds(&r, &ApproxTaneConfig::paper_faithful(0.0)).unwrap();
-        prop_assert_eq!(exact_zero.fds, brute_force_fds(&r, r.num_attrs()));
+    }
+    if approx(&ApproxTaneConfig::paper_faithful(0.0)) != got {
+        return Err("paper-faithful at eps=0 differs from exact".into());
     }
 
-    #[test]
-    fn max_lhs_equals_oracle_truncation(r in relation(), m in 0usize..=4) {
-        let got = discover_fds(&r, &TaneConfig::default().with_max_lhs(m)).unwrap();
-        prop_assert_eq!(got.fds, brute_force_fds(&r, m));
+    let m = p.max_lhs;
+    if exact(&TaneConfig::default().with_max_lhs(m)) != brute_force_fds(r, m) {
+        return Err(format!("max_lhs={m} differs from the truncated oracle"));
     }
 
-    #[test]
-    fn copies_preserve_cover(r in relation(), n in 1usize..=4) {
-        prop_assume!(r.num_rows() > 0);
-        let base = discover_fds(&r, &TaneConfig::default()).unwrap();
-        // The ×n construction preserves every dependency with a non-empty
-        // LHS (agreement never crosses copies), but ∅ → A breaks as soon as
-        // a constant column gets a second copy-specific value — the paper's
-        // datasets have no such dependencies, and we exclude them here.
-        prop_assume!(base.fds.iter().all(|fd| !fd.lhs.is_empty()));
-        let big = discover_fds(&r.concat_disjoint_copies(n).unwrap(), &TaneConfig::default()).unwrap();
-        prop_assert_eq!(base.fds, big.fds);
+    // The ×n construction preserves every dependency with a non-empty LHS
+    // (agreement never crosses copies), but ∅ → A breaks as soon as a
+    // constant column gets a second copy-specific value — the paper's
+    // datasets have no such dependencies, and they are excluded here.
+    if rows > 0 && got.iter().all(|fd| !fd.lhs.is_empty()) {
+        let big = r.concat_disjoint_copies(p.copies).unwrap();
+        if discover_fds(&big, &TaneConfig::default()).unwrap().fds != got {
+            return Err(format!("{} disjoint copies change the cover", p.copies));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn lattice_search_agrees_with_oracles_on_random_relations() {
+    let mut rng = SplitMix64::new(0x7a3e_d1ff);
+    for keyish in [false, true] {
+        for case in 0..CASES {
+            let mut r = random_relation(&mut rng, keyish);
+            let p = Params {
+                eps: rng.f64_unit() * 0.6,
+                max_lhs: rng.usize_below(5),
+                copies: 1 + rng.usize_below(4),
+            };
+            let Err(first) = check(&r, p) else {
+                continue;
+            };
+            // Shrink by row deletion while the failure persists.
+            let mut msg = first;
+            'shrink: loop {
+                for t in 0..r.num_rows() {
+                    let smaller = without_row(&r, t);
+                    if let Err(m) = check(&smaller, p) {
+                        r = smaller;
+                        msg = m;
+                        continue 'shrink;
+                    }
+                }
+                break;
+            }
+            panic!(
+                "keyish={keyish} case {case} {p:?}: {msg}\nshrunk to {} rows, columns {:?}",
+                r.num_rows(),
+                columns(&r)
+            );
+        }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+#[cfg(feature = "proptest")]
+mod props {
+    use proptest::prelude::*;
+    use tane_baselines::{brute_force_approx_fds, brute_force_fds, verify_minimal_cover};
+    use tane_core::{discover_approx_fds, discover_fds, ApproxTaneConfig, TaneConfig};
+    use tane_relation::{Relation, Schema};
 
-    /// Parallel products must be bit-for-bit equivalent to the serial path.
-    #[test]
-    fn parallel_matches_serial(r in relation(), threads in 2usize..=4) {
-        let serial = discover_fds(&r, &TaneConfig::default()).unwrap();
-        let parallel = discover_fds(&r, &TaneConfig::default().with_threads(threads)).unwrap();
-        prop_assert_eq!(serial.fds, parallel.fds);
-        prop_assert_eq!(serial.keys, parallel.keys);
-        prop_assert_eq!(serial.stats.sets_total, parallel.stats.sets_total);
+    /// Random relations with up to 6 attributes and 30 rows; domains of size ≤ 3
+    /// make both valid FDs and approximate FDs frequent.
+    fn relation() -> impl Strategy<Value = Relation> {
+        (1usize..=6, 0usize..=30).prop_flat_map(|(n_attrs, n_rows)| {
+            proptest::collection::vec(
+                proptest::collection::vec(0u32..3, n_rows..=n_rows),
+                n_attrs..=n_attrs,
+            )
+            .prop_map(move |cols| {
+                Relation::from_codes(Schema::anonymous(cols.len()).unwrap(), cols).unwrap()
+            })
+        })
+    }
+
+    /// Wider-domain relations: keys and near-keys are common, stressing key
+    /// pruning.
+    fn keyish_relation() -> impl Strategy<Value = Relation> {
+        (2usize..=5, 4usize..=24).prop_flat_map(|(n_attrs, n_rows)| {
+            proptest::collection::vec(
+                proptest::collection::vec(0u32..12, n_rows..=n_rows),
+                n_attrs..=n_attrs,
+            )
+            .prop_map(move |cols| {
+                Relation::from_codes(Schema::anonymous(cols.len()).unwrap(), cols).unwrap()
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn exact_default_matches_oracle(r in relation()) {
+            let got = discover_fds(&r, &TaneConfig::default()).unwrap();
+            let want = brute_force_fds(&r, r.num_attrs());
+            prop_assert_eq!(&got.fds, &want);
+            prop_assert!(verify_minimal_cover(&r, &got.fds, r.num_attrs(), 0.0).is_empty());
+        }
+
+        #[test]
+        fn exact_all_ablations_match_oracle(r in relation()) {
+            let want = brute_force_fds(&r, r.num_attrs());
+            for rhs_plus in [false, true] {
+                for key in [false, true] {
+                    for empty in [false, true] {
+                        let config = TaneConfig {
+                            rhs_plus_pruning: rhs_plus,
+                            key_pruning: key,
+                            empty_cplus_pruning: empty,
+                            ..TaneConfig::default()
+                        };
+                        let got = discover_fds(&r, &config).unwrap();
+                        prop_assert_eq!(
+                            &got.fds, &want,
+                            "rhs_plus={} key={} empty={}", rhs_plus, key, empty
+                        );
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn exact_keyish_matches_oracle(r in keyish_relation()) {
+            let got = discover_fds(&r, &TaneConfig::default()).unwrap();
+            prop_assert_eq!(got.fds, brute_force_fds(&r, r.num_attrs()));
+        }
+
+        #[test]
+        fn disk_storage_matches_memory(r in relation()) {
+            let mem = discover_fds(&r, &TaneConfig::default()).unwrap();
+            // Tiny cache forces eviction and reload on every level.
+            let disk = discover_fds(&r, &TaneConfig::disk(256)).unwrap();
+            prop_assert_eq!(mem.fds, disk.fds);
+        }
+
+        #[test]
+        fn approx_matches_oracle(r in relation(), eps in 0.0f64..=0.6) {
+            let got = discover_approx_fds(&r, &ApproxTaneConfig::new(eps)).unwrap();
+            let want = brute_force_approx_fds(&r, r.num_attrs(), eps);
+            prop_assert_eq!(&got.fds, &want, "eps={}", eps);
+        }
+
+        #[test]
+        fn approx_keyish_matches_oracle(r in keyish_relation(), eps in 0.0f64..=0.4) {
+            // Keys are plentiful here: this stresses the superkey-closure
+            // recovery of dependencies cut by key pruning.
+            let got = discover_approx_fds(&r, &ApproxTaneConfig::new(eps)).unwrap();
+            let want = brute_force_approx_fds(&r, r.num_attrs(), eps);
+            prop_assert_eq!(&got.fds, &want, "eps={}", eps);
+        }
+
+        #[test]
+        fn approx_ablations_match(r in relation(), eps in 0.0f64..=0.5) {
+            let want = brute_force_approx_fds(&r, r.num_attrs(), eps);
+            for use_bounds in [false, true] {
+                for key in [false, true] {
+                    let config = ApproxTaneConfig {
+                        base: TaneConfig { key_pruning: key, ..TaneConfig::default() },
+                        use_g3_bounds: use_bounds,
+                        ..ApproxTaneConfig::new(eps)
+                    };
+                    let got = discover_approx_fds(&r, &config).unwrap();
+                    prop_assert_eq!(&got.fds, &want, "eps={} bounds={} key={}", eps, use_bounds, key);
+                }
+            }
+        }
+
+        #[test]
+        fn paper_faithful_heuristic_is_valid_and_exact_at_zero(r in relation(), eps in 0.0f64..=0.5) {
+            // The aggressive-rhs+ heuristic may return an incomplete cover for
+            // eps > 0, but every reported dependency must still satisfy the
+            // threshold, and at eps = 0 it must equal the exact algorithm.
+            let got = discover_approx_fds(&r, &ApproxTaneConfig::paper_faithful(eps)).unwrap();
+            let n = r.num_rows();
+            for fd in &got.fds {
+                prop_assert!(!fd.is_trivial());
+                let g3 = if n == 0 {
+                    0.0
+                } else {
+                    tane_baselines::fd_g3_rows(&r, fd.lhs, fd.rhs) as f64 / n as f64
+                };
+                prop_assert!(g3 <= eps + 1e-12, "{} has g3 {} > {}", fd, g3, eps);
+            }
+            let exact_zero = discover_approx_fds(&r, &ApproxTaneConfig::paper_faithful(0.0)).unwrap();
+            prop_assert_eq!(exact_zero.fds, brute_force_fds(&r, r.num_attrs()));
+        }
+
+        #[test]
+        fn max_lhs_equals_oracle_truncation(r in relation(), m in 0usize..=4) {
+            let got = discover_fds(&r, &TaneConfig::default().with_max_lhs(m)).unwrap();
+            prop_assert_eq!(got.fds, brute_force_fds(&r, m));
+        }
+
+        #[test]
+        fn copies_preserve_cover(r in relation(), n in 1usize..=4) {
+            prop_assume!(r.num_rows() > 0);
+            let base = discover_fds(&r, &TaneConfig::default()).unwrap();
+            // The ×n construction preserves every dependency with a non-empty
+            // LHS (agreement never crosses copies), but ∅ → A breaks as soon as
+            // a constant column gets a second copy-specific value — the paper's
+            // datasets have no such dependencies, and we exclude them here.
+            prop_assume!(base.fds.iter().all(|fd| !fd.lhs.is_empty()));
+            let big = discover_fds(&r.concat_disjoint_copies(n).unwrap(), &TaneConfig::default()).unwrap();
+            prop_assert_eq!(base.fds, big.fds);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Parallel products must be bit-for-bit equivalent to the serial path.
+        #[test]
+        fn parallel_matches_serial(r in relation(), threads in 2usize..=4) {
+            let serial = discover_fds(&r, &TaneConfig::default()).unwrap();
+            let parallel = discover_fds(&r, &TaneConfig::default().with_threads(threads)).unwrap();
+            prop_assert_eq!(serial.fds, parallel.fds);
+            prop_assert_eq!(serial.keys, parallel.keys);
+            prop_assert_eq!(serial.stats.sets_total, parallel.stats.sets_total);
+        }
     }
 }

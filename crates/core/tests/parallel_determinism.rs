@@ -5,10 +5,12 @@
 //! `threads ∈ {1, 2, 4, 8}` have to produce identical dependencies, keys,
 //! and lattice statistics on every combination of dataset × storage
 //! backend × mode — including the counters (`products`, `validity_tests`,
-//! `g3_*`) that would drift first if scheduling leaked into the search.
+//! `g3_*`, the store's I/O and cache counters) that would drift first if
+//! scheduling leaked into the search — and the same per-level event stream.
 
 use tane_core::{
-    discover_approx_fds, discover_fds, ApproxTaneConfig, Storage, TaneConfig, TaneResult,
+    discover_approx_fds, discover_approx_fds_with, discover_fds, discover_fds_with,
+    ApproxTaneConfig, LevelEvent, Storage, TaneConfig, TaneResult,
 };
 use tane_datasets::{generate, ColumnSpec, DatasetSpec};
 use tane_relation::{Relation, Schema, Value};
@@ -97,10 +99,22 @@ fn invariant_view(r: &TaneResult) -> impl PartialEq + std::fmt::Debug {
         r.stats.g3_exact_computations,
         r.stats.g3_decided_by_bounds,
         r.stats.keys_found,
-        r.stats.disk_reads,
-        r.stats.disk_bytes_read,
-        r.stats.disk_bytes_written,
+        // Tuples compare up to 12 fields: the store counters nest.
+        (
+            r.stats.disk_reads,
+            r.stats.disk_writes,
+            r.stats.disk_bytes_read,
+            r.stats.disk_bytes_written,
+            r.stats.store_evictions,
+            r.stats.store_pins,
+            r.stats.oversized_resident,
+        ),
     )
+}
+
+/// The observable part of a level event: everything but its wall time.
+fn event_view(e: &LevelEvent) -> impl PartialEq + std::fmt::Debug {
+    (e.level, e.new_minimal_fds.clone(), e.partitions_bytes)
 }
 
 fn assert_thread_invariant(relation: &Relation, label: &str, epsilon: f64) {
@@ -111,27 +125,35 @@ fn assert_thread_invariant(relation: &Relation, label: &str, epsilon: f64) {
                 threads,
                 ..TaneConfig::default()
             };
-            if epsilon > 0.0 {
+            let mut events = Vec::new();
+            let on_level = |e: LevelEvent| events.push(event_view(&e));
+            let result = if epsilon > 0.0 {
                 let config = ApproxTaneConfig {
                     base,
                     ..ApproxTaneConfig::new(epsilon)
                 };
-                discover_approx_fds(relation, &config).unwrap()
+                discover_approx_fds_with(relation, &config, on_level).unwrap()
             } else {
-                discover_fds(relation, &base).unwrap()
-            }
+                discover_fds_with(relation, &base, on_level).unwrap()
+            };
+            (result, events)
         };
-        let baseline = run(THREAD_COUNTS[0]);
+        let (baseline, baseline_events) = run(THREAD_COUNTS[0]);
+        assert_eq!(baseline_events.len(), baseline.stats.levels);
         assert_eq!(
             baseline.stats.parallel_workers, THREAD_COUNTS[0],
             "worker count must be reported"
         );
         for &threads in &THREAD_COUNTS[1..] {
-            let got = run(threads);
+            let (got, events) = run(threads);
             assert_eq!(
                 invariant_view(&got),
                 invariant_view(&baseline),
                 "{label} ε={epsilon} on {storage_label}: threads={threads} diverged from serial"
+            );
+            assert_eq!(
+                events, baseline_events,
+                "{label} ε={epsilon} on {storage_label}: threads={threads} level events diverged"
             );
             assert_eq!(got.stats.parallel_workers, threads);
         }

@@ -54,7 +54,6 @@ pub use refine::{
     class_labels, g3_removed_rows_by_labels, refine, refine_with_scratch, RefineScratch, STRIPPED,
 };
 pub use store::{
-    failpoint, DiskQuota, DiskStore, MemoryStore, PartitionStore, ReadPhase, SegmentStore,
-    StoreError,
+    failpoint, DiskQuota, MemoryStore, PartitionStore, ReadPhase, SegmentStore, StoreError,
 };
 pub use stripped::StrippedPartition;

@@ -14,13 +14,11 @@
 //!   positioned `pread` through a bounded file-handle cache, so
 //!   [`get`](PartitionStore::get) takes `&self` and any number of worker
 //!   threads fetch concurrently. Hot partitions live in a sharded clock
-//!   cache with single-flight miss loading; snapshot pins (epoch-tagged,
-//!   in the style of an LSM tree's snapshot tracker) let an in-flight
-//!   read phase keep a stable view while dead segments are reaped
-//!   underneath. A segment file is deleted as soon as all of its
-//!   partitions have been removed *and* no snapshot that could observe it
-//!   is still open — so disk space tracks the live levels
-//!   (`O(s_max·|r|)`), matching the paper's accounting.
+//!   cache with single-flight miss loading, and a [`ReadPhase`] pins
+//!   every partition fetched during it until it ends. A segment file is
+//!   deleted as soon as all of its partitions have been removed — so disk
+//!   space tracks the live levels (`O(s_max·|r|)`), matching the paper's
+//!   accounting.
 //!
 //! Partitions are handed out as `Arc<StrippedPartition>` so a cached
 //! partition can be used for several products without copies.
@@ -28,18 +26,19 @@
 //! ## Write/read discipline (DESIGN §13)
 //!
 //! All mutation — `put`, `remove`, `seal_level` — takes `&mut self` and
-//! therefore happens on the serial driver thread, strictly between
-//! concurrent read phases (the borrow checker enforces the exclusion).
-//! Reads are `&self` and may run from any thread. Eviction runs only at
-//! deterministic points (puts, seals, phase ends), never behind a
-//! concurrent `get`, which is what keeps the disk-read counters
-//! byte-identical across worker counts (see `evict_to_budget`).
+//! therefore happens on the serial search thread. Reads are `&self` and
+//! may run from any thread. A read phase borrows the store, so the
+//! compiler rejects any mutation while one is open: a segment is never
+//! unlinked under a reader. Eviction runs only at deterministic points
+//! (puts, seals, phase ends), never behind a concurrent `get`, which is
+//! what keeps the disk-read counters byte-identical across worker counts
+//! (see `evict_to_budget`).
 //!
-//! Lock order (declared in tane-lint's R3 `LOCK_ORDER`): `clock` before
-//! `shard` (eviction walks the clock queue and dips into shards), and
-//! `shard` before `done` (publishing a loaded partition installs the
-//! cache entry and wakes single-flight waiters in one critical section).
-//! No other nesting exists; `handles` and `snapshots` are always taken
+//! Lock order (declared with `lint:lock-order` at the nesting sites):
+//! `clock` before `shard` (eviction walks the clock queue and dips into
+//! shards), and `shard` before `done` (publishing a loaded partition
+//! installs the cache entry and wakes single-flight waiters in one
+//! critical section). No other nesting exists; `handles` is always taken
 //! alone.
 
 use crate::stripped::StrippedPartition;
@@ -138,7 +137,8 @@ fn clone_error(e: &StoreError) -> StoreError {
 ///
 /// Charges follow segment files, not logical records: bytes are charged
 /// when a record is appended and released when its segment file is deleted
-/// (reaped or dropped), so `used` tracks what is actually on disk.
+/// (its last record removed, or the store dropped), so `used` tracks what
+/// is actually on disk.
 #[derive(Debug, Default)]
 pub struct DiskQuota {
     used: AtomicU64,
@@ -322,7 +322,8 @@ struct EntryLoc {
 #[derive(Debug)]
 struct Segment {
     path: PathBuf,
-    /// Keys still pointing into this segment; the file is doomed at zero.
+    /// Keys still pointing into this segment; a sealed segment's file is
+    /// deleted at zero.
     live: usize,
     /// Bytes written into this segment (the quota charge to release).
     bytes: u64,
@@ -330,33 +331,38 @@ struct Segment {
     sealed: bool,
 }
 
-/// A dead segment file whose deletion waits for the snapshots that could
-/// still observe it. `epoch` is the tracker's next-epoch value at doom
-/// time: every read phase open back then has a smaller epoch, so the file
-/// is reaped once the minimum open epoch reaches `epoch` (or none is open).
+/// An open read phase, returned by [`SegmentStore::begin_read_phase`].
+/// Until it ends — when dropped, or by [`end`](ReadPhase::end) — every
+/// partition fetched from disk stays pinned in the cache, so repeated
+/// fetches of one parent cost one read no matter how many workers ask.
+///
+/// The phase borrows the store, so no `&mut` method can run while it is
+/// open; in particular no segment can be removed under a reader:
+///
+/// ```compile_fail
+/// use tane_partition::{PartitionStore, SegmentStore};
+/// use tane_util::AttrSet;
+///
+/// let mut store = SegmentStore::new(0).unwrap();
+/// let phase = store.begin_read_phase();
+/// store.remove(AttrSet::singleton(0)); // `store` is borrowed by `phase`
+/// phase.end();
+/// ```
 #[derive(Debug)]
-struct Doomed {
-    epoch: u64,
-    path: PathBuf,
-    bytes: u64,
+#[must_use = "a read phase ends as soon as it is dropped"]
+pub struct ReadPhase<'a> {
+    store: &'a SegmentStore,
 }
 
-/// Epoch source for snapshot pins (the `snapshots` lock).
-#[derive(Debug, Default)]
-struct SnapshotTracker {
-    next_epoch: u64,
-    open: std::collections::BTreeSet<u64>,
+impl ReadPhase<'_> {
+    /// Ends the phase; the same as dropping it.
+    pub fn end(self) {}
 }
 
-/// An open read phase (snapshot pin), returned by
-/// [`SegmentStore::begin_read_phase`]. A plain token, not a borrow — the
-/// driver may interleave `&mut` writer calls (e.g. `remove`) while a phase
-/// is open; segments doomed in that window stay on disk until the phase
-/// ends. Ending the phase is explicit: [`SegmentStore::end_read_phase`].
-#[derive(Debug)]
-#[must_use = "a read phase pins cache entries until end_read_phase"]
-pub struct ReadPhase {
-    epoch: u64,
+impl Drop for ReadPhase<'_> {
+    fn drop(&mut self) {
+        self.store.end_read_phase();
+    }
 }
 
 /// One resident cache entry.
@@ -367,8 +373,8 @@ struct Entry {
     /// Still part of the unsealed active level: never evicted, enqueued
     /// into the clock at `seal_level`.
     active: bool,
-    /// Pinned by the open read phase: never evicted, enqueued at
-    /// `end_read_phase`.
+    /// Pinned by the open read phase: never evicted, enqueued when the
+    /// phase ends.
     pinned: bool,
     /// Clock reference bit; granted one second chance per sweep.
     accessed: bool,
@@ -414,7 +420,6 @@ struct HandleCache {
 #[derive(Debug)]
 pub struct SegmentStore {
     dir: PathBuf,
-    owns_dir: bool,
     cache_budget: usize,
     quota: Option<Arc<DiskQuota>>,
 
@@ -427,7 +432,6 @@ pub struct SegmentStore {
     active_keys: Vec<AttrSet>,
     segments: FxHashMap<u32, Segment>,
     index: FxHashMap<AttrSet, EntryLoc>,
-    doomed: Vec<Doomed>,
     /// Reusable record buffer for serialization.
     scratch: Vec<u8>,
     writes: u64,
@@ -436,7 +440,6 @@ pub struct SegmentStore {
     // ---- shared read state: interior mutability behind locks/atomics ----
     shards: Vec<Mutex<Shard>>,
     handles: Mutex<HandleCache>,
-    snapshots: Mutex<SnapshotTracker>,
     /// The clock (second-chance FIFO) eviction queue. Entries join in
     /// deterministic driver order: level seals enqueue in put order,
     /// phase ends enqueue the phase's fetches in ascending key order.
@@ -454,18 +457,7 @@ impl SegmentStore {
     /// Creates a segment store in a fresh temporary directory, keeping at
     /// most `cache_budget_bytes` of partitions resident.
     pub fn new(cache_budget_bytes: usize) -> Result<SegmentStore, StoreError> {
-        // ORDERING: Relaxed — ID allocation needs only atomicity of the
-        // increment; no other memory rides on it.
-        let id = STORE_ID.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("tane-partitions-{}-{}", std::process::id(), id));
-        Self::create(dir, cache_budget_bytes, true, None)
-    }
-
-    /// Creates a segment store in a caller-managed directory (not removed
-    /// on drop).
-    pub fn in_dir(dir: PathBuf, cache_budget_bytes: usize) -> Result<SegmentStore, StoreError> {
-        Self::create(dir, cache_budget_bytes, false, None)
+        Self::create(cache_budget_bytes, None)
     }
 
     /// [`SegmentStore::new`] with a shared disk quota: every record write
@@ -475,23 +467,21 @@ impl SegmentStore {
         cache_budget_bytes: usize,
         quota: Arc<DiskQuota>,
     ) -> Result<SegmentStore, StoreError> {
-        // ORDERING: Relaxed — unique-ID increment, as in `new`.
-        let id = STORE_ID.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("tane-partitions-{}-{}", std::process::id(), id));
-        Self::create(dir, cache_budget_bytes, true, Some(quota))
+        Self::create(cache_budget_bytes, Some(quota))
     }
 
     fn create(
-        dir: PathBuf,
         cache_budget_bytes: usize,
-        owns_dir: bool,
         quota: Option<Arc<DiskQuota>>,
     ) -> Result<SegmentStore, StoreError> {
+        // ORDERING: Relaxed — ID allocation needs only atomicity of the
+        // increment; no other memory rides on it.
+        let id = STORE_ID.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("tane-partitions-{}-{}", std::process::id(), id));
         fs::create_dir_all(&dir)?;
         Ok(SegmentStore {
             dir,
-            owns_dir,
             cache_budget: cache_budget_bytes,
             quota,
             active_id: 0,
@@ -500,13 +490,11 @@ impl SegmentStore {
             active_keys: Vec::new(),
             segments: FxHashMap::default(),
             index: FxHashMap::default(),
-            doomed: Vec::new(),
             scratch: Vec::new(),
             writes: 0,
             bytes_written: 0,
             shards: (0..CACHE_SHARDS).map(|_| Mutex::default()).collect(),
             handles: Mutex::default(),
-            snapshots: Mutex::default(),
             clock: Mutex::new(VecDeque::new()),
             open_phases: AtomicU32::new(0),
             cache_bytes: AtomicUsize::new(0),
@@ -567,7 +555,7 @@ impl SegmentStore {
         self.oversized.load(Ordering::Acquire)
     }
 
-    /// Number of live (non-doomed) segment files.
+    /// Number of live segment files.
     pub fn segment_count(&self) -> usize {
         self.segments.len()
     }
@@ -592,43 +580,27 @@ impl SegmentStore {
         &self.shards[(h >> 56) as usize % CACHE_SHARDS]
     }
 
-    // ---- snapshot pins ------------------------------------------------
+    // ---- read phases --------------------------------------------------
 
-    /// Opens a read phase: until the matching [`end_read_phase`], every
-    /// partition fetched from disk stays pinned in the cache (so repeated
-    /// fetches of one parent cost one read no matter how many workers ask)
-    /// and no segment file doomed during the phase is deleted. One phase
-    /// at a time per store: phases are driver-side brackets around a
-    /// concurrent read section, they do not nest.
-    ///
-    /// [`end_read_phase`]: SegmentStore::end_read_phase
-    pub fn begin_read_phase(&self) -> ReadPhase {
-        let snapshots = &self.snapshots;
-        let mut tracker = snapshots.lock().unwrap_or_else(|e| e.into_inner());
-        let epoch = tracker.next_epoch;
-        tracker.next_epoch += 1;
-        tracker.open.insert(epoch);
-        drop(tracker);
-        // ORDERING: Release — publishes the tracker insert above to the
-        // Acquire pin-check in load_and_publish: a loader that sees the
-        // phase open also sees its epoch registered.
+    /// Opens a read phase: until the returned guard ends, every partition
+    /// fetched from disk stays pinned in the cache. A phase brackets one
+    /// concurrent read section; see [`ReadPhase`].
+    pub fn begin_read_phase(&self) -> ReadPhase<'_> {
+        // ORDERING: Release — pairs with the Acquire pin-check in
+        // load_and_publish; the dispatch that hands the phase's reads to
+        // workers orders them after this increment anyway.
         self.open_phases.fetch_add(1, Ordering::Release);
-        ReadPhase { epoch }
+        ReadPhase { store: self }
     }
 
     /// Closes a read phase: unpins the phase's fetches (enqueueing them
     /// into the clock in ascending key order — a deterministic order, so
     /// eviction never depends on which worker fetched first) and evicts
-    /// back to budget. Segments doomed during the phase become reapable;
-    /// the next writer-side call deletes them.
-    pub fn end_read_phase(&self, phase: ReadPhase) {
+    /// back to budget.
+    fn end_read_phase(&self) {
         // ORDERING: Release — everything the phase read happens-before
         // the counter drop; the unpin sweep below re-checks under locks.
         self.open_phases.fetch_sub(1, Ordering::Release);
-        let snapshots = &self.snapshots;
-        let mut tracker = snapshots.lock().unwrap_or_else(|e| e.into_inner());
-        tracker.open.remove(&phase.epoch);
-        drop(tracker);
 
         // Unpin this phase's fetches, shard by shard.
         let mut unpinned: Vec<AttrSet> = Vec::new();
@@ -796,7 +768,7 @@ impl SegmentStore {
             let finished = self.active_id;
             self.active_id += 1;
             self.active_bytes = 0;
-            self.doom_or_reap(finished);
+            self.reap_if_dead(finished);
         }
         Ok(())
     }
@@ -808,68 +780,26 @@ impl SegmentStore {
         Ok(())
     }
 
-    /// If segment `id` has no live records, removes it from the live set
-    /// and either deletes the file now (no open read phase) or dooms it
-    /// until every phase open at this moment has ended.
-    fn doom_or_reap(&mut self, id: u32) {
-        let dead = match self.segments.get(&id) {
-            Some(seg) => seg.live == 0 && seg.sealed,
-            None => false,
-        };
-        if !dead {
+    /// If segment `id` is sealed and has no live records, deletes its file
+    /// and releases its quota charge. Only `&mut self` callers get here,
+    /// so no read phase — and no reader — can be open.
+    fn reap_if_dead(&mut self, id: u32) {
+        if !self
+            .segments
+            .get(&id)
+            .is_some_and(|s| s.live == 0 && s.sealed)
+        {
             return;
         }
         let seg = self.segments.remove(&id).expect("checked above");
-        // Drop our cached read handle; in-flight readers hold their own
-        // `Arc<File>` clones, which keep the data readable even past the
-        // unlink below (POSIX semantics).
         let handles = &self.handles;
         let mut cache = handles.lock().unwrap_or_else(|e| e.into_inner());
         cache.open.remove(&id);
         drop(cache);
-
-        let snapshots = &self.snapshots;
-        let tracker = snapshots.lock().unwrap_or_else(|e| e.into_inner());
-        let any_open = !tracker.open.is_empty();
-        let doom_epoch = tracker.next_epoch;
-        drop(tracker);
-        if any_open {
-            self.doomed.push(Doomed {
-                epoch: doom_epoch,
-                path: seg.path,
-                bytes: seg.bytes,
-            });
-        } else {
-            let _ = fs::remove_file(&seg.path);
-            if let Some(q) = &self.quota {
-                q.release(seg.bytes);
-            }
+        let _ = fs::remove_file(&seg.path);
+        if let Some(q) = &self.quota {
+            q.release(seg.bytes);
         }
-    }
-
-    /// Deletes every doomed segment whose dooming phases have all ended.
-    fn reap_doomed(&mut self) {
-        if self.doomed.is_empty() {
-            return;
-        }
-        let snapshots = &self.snapshots;
-        let tracker = snapshots.lock().unwrap_or_else(|e| e.into_inner());
-        let min_open = tracker.open.first().copied();
-        drop(tracker);
-        let quota = self.quota.clone();
-        self.doomed.retain(|d| {
-            let reapable = match min_open {
-                None => true,
-                Some(min) => min >= d.epoch,
-            };
-            if reapable {
-                let _ = fs::remove_file(&d.path);
-                if let Some(q) = &quota {
-                    q.release(d.bytes);
-                }
-            }
-            !reapable
-        });
     }
 
     // ---- record I/O ---------------------------------------------------
@@ -968,9 +898,8 @@ impl SegmentStore {
         slot: &Arc<LoadSlot>,
     ) -> Result<Arc<StrippedPartition>, StoreError> {
         let result = self.read_record(key, loc).map(Arc::new);
-        // ORDERING: Acquire — pairs with the Release in begin_read_phase:
-        // seeing the phase open implies seeing its epoch in the tracker,
-        // so the pin taken here is always unpinned by that phase's close.
+        // ORDERING: Acquire — pairs with the Release in begin_read_phase,
+        // so a pin taken here is always unpinned by that phase's close.
         let pinned = self.open_phases.load(Ordering::Acquire) > 0;
         let shard = self.shard_for(key);
         let mut guard = shard.lock().unwrap_or_else(|e| e.into_inner());
@@ -1115,7 +1044,7 @@ impl PartitionStore for SegmentStore {
             if let Some(seg) = self.segments.get_mut(&old.segment) {
                 seg.live -= 1;
             }
-            self.doom_or_reap(old.segment);
+            self.reap_if_dead(old.segment);
         }
 
         let offset = self.active_bytes;
@@ -1151,7 +1080,6 @@ impl PartitionStore for SegmentStore {
         self.active_keys.push(key);
         self.rotate_if_needed()?;
         self.evict_to_budget();
-        self.reap_doomed();
         Ok(())
     }
 
@@ -1214,9 +1142,8 @@ impl PartitionStore for SegmentStore {
             if let Some(seg) = self.segments.get_mut(&loc.segment) {
                 seg.live -= 1;
             }
-            self.doom_or_reap(loc.segment);
+            self.reap_if_dead(loc.segment);
         }
-        self.reap_doomed();
     }
 
     /// Seals the level written since the last seal: the active segment
@@ -1249,7 +1176,6 @@ impl PartitionStore for SegmentStore {
         }
         drop(queue);
         self.evict_to_budget();
-        self.reap_doomed();
         Ok(())
     }
 
@@ -1271,34 +1197,13 @@ impl PartitionStore for SegmentStore {
 impl Drop for SegmentStore {
     fn drop(&mut self) {
         self.active_writer = None; // close before deleting
-        let mut released = 0u64;
-        // lint:allow(determinism): deletion order of doomed temp files
-        // is unobservable in any result.
-        for seg in self.segments.values() {
-            released += seg.bytes;
-            if !self.owns_dir {
-                let _ = fs::remove_file(&seg.path);
-            }
-        }
-        for d in &self.doomed {
-            released += d.bytes;
-            if !self.owns_dir {
-                let _ = fs::remove_file(&d.path);
-            }
-        }
-        if self.owns_dir {
-            let _ = fs::remove_dir_all(&self.dir);
-        }
+        let _ = fs::remove_dir_all(&self.dir);
         if let Some(q) = &self.quota {
-            q.release(released);
+            // lint:allow(determinism): a sum is independent of the order.
+            q.release(self.segments.values().map(|seg| seg.bytes).sum());
         }
     }
 }
-
-/// The historical name of [`SegmentStore`], kept for external users; the
-/// disk backend has been a segment store since its first version, the
-/// engine underneath is what changed.
-pub type DiskStore = SegmentStore;
 
 /// Test-only fault injection for the read path, armable from integration
 /// and end-to-end tests (the server's corruption tests run a real server
@@ -1498,8 +1403,7 @@ mod tests {
     /// Seals and evicts everything, so the next get is a real disk read.
     fn flush_all(s: &mut SegmentStore) {
         s.seal_level().unwrap();
-        let phase = s.begin_read_phase();
-        s.end_read_phase(phase);
+        s.begin_read_phase().end();
     }
 
     #[test]
@@ -1593,22 +1497,6 @@ mod tests {
     }
 
     #[test]
-    fn in_dir_store_keeps_directory_but_reaps_segments() {
-        let dir = std::env::temp_dir().join(format!("tane-test-keep-{}", std::process::id()));
-        {
-            let mut s = SegmentStore::in_dir(dir.clone(), 1 << 20).unwrap();
-            s.put(AttrSet::singleton(0), sample(0)).unwrap();
-        }
-        assert!(dir.exists(), "caller-managed dir must survive");
-        assert_eq!(
-            fs::read_dir(&dir).unwrap().count(),
-            0,
-            "segments must be reaped"
-        );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn many_partitions_share_few_segment_files() {
         let mut s = SegmentStore::new(1 << 16).unwrap();
         for i in 0..2000u32 {
@@ -1618,8 +1506,7 @@ mod tests {
         s.seal_level().unwrap();
         assert!(s.segment_count() <= 4, "got {} segments", s.segment_count());
         // Spot-check a cold read.
-        let phase = s.begin_read_phase();
-        s.end_read_phase(phase); // evicts everything idle
+        s.begin_read_phase().end(); // evicts everything idle
         assert_eq!(
             *s.get(AttrSet::from_bits(1500 + 1)).unwrap(),
             sample(1500 % 50)
@@ -1628,7 +1515,8 @@ mod tests {
 
     #[test]
     fn removing_all_keys_reaps_segments() {
-        let mut s = SegmentStore::new(1 << 16).unwrap();
+        let quota = Arc::new(DiskQuota::new(1 << 20));
+        let mut s = SegmentStore::with_quota(1 << 16, quota.clone()).unwrap();
         let keys: Vec<AttrSet> = (0..100u32)
             .map(|i| AttrSet::from_bits(u64::from(i) + 1))
             .collect();
@@ -1641,33 +1529,8 @@ mod tests {
         }
         assert_eq!(s.len(), 0);
         assert_eq!(s.segment_count(), 0, "dead sealed segments are reaped");
-    }
-
-    #[test]
-    fn snapshot_pin_defers_segment_reaping() {
-        let mut s = SegmentStore::new(1 << 20).unwrap();
-        let keys: Vec<AttrSet> = (0..4).map(AttrSet::singleton).collect();
-        for (i, &k) in keys.iter().enumerate() {
-            s.put(k, sample(i as u32)).unwrap();
-        }
-        s.seal_level().unwrap();
-        let path = s.segment_path(0);
-
-        // A phase is open: removing every key dooms the segment but must
-        // not delete the file a concurrent reader could still touch.
-        let phase = s.begin_read_phase();
-        let pinned = s.get(keys[0]).unwrap();
-        for &k in &keys {
-            s.remove(k);
-        }
-        assert!(path.exists(), "doomed segment survives the open phase");
-        assert_eq!(s.segment_count(), 0, "but it is no longer live");
-        assert_eq!(*pinned, sample(0), "pinned data stays readable");
-
-        // Phase ends: the next writer-side call reaps it.
-        s.end_read_phase(phase);
-        s.seal_level().unwrap();
-        assert!(!path.exists(), "doomed segment reaped after the phase");
+        assert!(!s.segment_path(0).exists(), "and unlinked at once");
+        assert_eq!(quota.used(), 0, "with their quota charge released");
     }
 
     #[test]
@@ -1684,7 +1547,7 @@ mod tests {
         assert_eq!(s.disk_reads(), 1, "second fetch hits the pinned entry");
         assert!(s.resident_bytes() > 0, "pinned over a zero budget");
         assert_eq!(s.snapshot_pins(), 1);
-        s.end_read_phase(phase);
+        phase.end();
         assert_eq!(s.resident_bytes(), 0, "phase end evicts to budget");
     }
 

@@ -33,11 +33,8 @@ fn concurrent_disjoint_reads_are_byte_identical() {
         store.put(k, sample(i as u32)).unwrap();
     }
     store.seal_level().unwrap();
-    {
-        // Drain the level out of the cache so every fetch hits disk.
-        let phase = store.begin_read_phase();
-        store.end_read_phase(phase);
-    }
+    // Drain the level out of the cache so every fetch hits disk.
+    store.begin_read_phase().end();
     assert_eq!(store.resident_bytes(), 0);
 
     let store = Arc::new(store);
@@ -54,7 +51,7 @@ fn concurrent_disjoint_reads_are_byte_identical() {
             });
         }
     });
-    store.end_read_phase(phase);
+    phase.end();
     assert_eq!(
         store.disk_reads(),
         u64::from(N),
@@ -76,10 +73,7 @@ fn concurrent_shared_key_flood_reads_each_key_once() {
         store.put(k, sample(i as u32)).unwrap();
     }
     store.seal_level().unwrap();
-    {
-        let phase = store.begin_read_phase();
-        store.end_read_phase(phase);
-    }
+    store.begin_read_phase().end();
     assert_eq!(store.resident_bytes(), 0);
 
     let store = Arc::new(store);
@@ -101,7 +95,7 @@ fn concurrent_shared_key_flood_reads_each_key_once() {
             });
         }
     });
-    store.end_read_phase(phase);
+    phase.end();
     assert_eq!(
         store.disk_reads(),
         u64::from(N),
@@ -124,10 +118,7 @@ fn read_counts_are_reproducible_across_runs() {
                 store.put(k, sample(i as u32)).unwrap();
             }
             store.seal_level().unwrap();
-            {
-                let phase = store.begin_read_phase();
-                store.end_read_phase(phase);
-            }
+            store.begin_read_phase().end();
             let store = Arc::new(store);
             for _ in 0..4 {
                 let phase = store.begin_read_phase();
@@ -142,7 +133,7 @@ fn read_counts_are_reproducible_across_runs() {
                         });
                     }
                 });
-                store.end_read_phase(phase);
+                phase.end();
             }
             store.disk_reads()
         })

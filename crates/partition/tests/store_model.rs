@@ -8,7 +8,7 @@
 #![cfg(feature = "proptest")]
 
 use proptest::prelude::*;
-use tane_partition::{DiskStore, MemoryStore, PartitionStore, StrippedPartition};
+use tane_partition::{MemoryStore, PartitionStore, SegmentStore, StrippedPartition};
 use tane_util::AttrSet;
 
 #[derive(Debug, Clone)]
@@ -54,7 +54,7 @@ proptest! {
     fn disk_store_refines_memory_model(ops in proptest::collection::vec(op(), 1..120)) {
         let mut model = MemoryStore::new();
         // A tiny cache budget maximizes eviction/reload traffic.
-        let mut disk = DiskStore::new(512).unwrap();
+        let mut disk = SegmentStore::new(512).unwrap();
         for op in &ops {
             match *op {
                 Op::Put { key, shape } => {

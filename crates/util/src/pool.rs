@@ -195,47 +195,17 @@ impl WorkerPool {
     }
 
     /// Runs `body(worker_id)` on every worker concurrently and returns when
-    /// all invocations have finished. The caller participates as worker 0.
+    /// all invocations have finished. The caller participates as worker 0;
+    /// with `threads == 1` the call is just `body(0)` on the caller.
     ///
     /// # Panics
     ///
     /// If any invocation panics, the (first) panic is re-raised here after
     /// every worker has finished; the pool stays usable.
-    pub fn run(&self, body: &(dyn Fn(usize) + Sync)) {
-        self.run_overlapped(body, || {});
-    }
-
-    /// [`run`](WorkerPool::run), except the caller first executes `driver`
-    /// *while the spawned workers are already processing the job*, and only
-    /// then joins in as worker 0. This is the level-overlap primitive: the
-    /// search dispatches the next level's partition products here and runs
-    /// the current level's serial driver tail (observer event, superkey
-    /// closure) concurrently on the calling thread.
-    ///
-    /// With `threads == 1` the call degenerates to `driver(); body(0)` —
-    /// the serial order, which the overlap must be equivalent to.
-    ///
-    /// # Panics
-    ///
-    /// Panics from `driver` or any `body` invocation are re-raised after
-    /// the epoch fully drains (`driver`'s first); the pool stays usable.
     #[allow(unsafe_code)] // audited: the lifetime-erasing transmute below
-                          // ORDERING: Release on busy_nanos — pairs with the Acquire load in
-                          // busy_time; the epoch-drain mutex already orders everything else.
-    pub fn run_overlapped(&self, body: &(dyn Fn(usize) + Sync), driver: impl FnOnce()) {
+    pub fn run(&self, body: &(dyn Fn(usize) + Sync)) {
         if self.handles.is_empty() {
-            let drove = catch_unwind(AssertUnwindSafe(driver));
-            if drove.is_ok() {
-                let t = Instant::now();
-                let outcome = catch_unwind(AssertUnwindSafe(|| body(0)));
-                self.shared
-                    .busy_nanos
-                    .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Release);
-                if let Err(payload) = outcome {
-                    resume_unwind(payload);
-                }
-            }
-            if let Err(payload) = drove {
+            if let Err(payload) = run_body(&self.shared, body, 0) {
                 resume_unwind(payload);
             }
             return;
@@ -251,23 +221,9 @@ impl WorkerPool {
             state.remaining = self.handles.len();
             self.shared.work_cv.notify_all();
         }
-        // The workers are computing already; the caller overlaps the serial
-        // driver work, then participates as worker 0. Panics (from either)
-        // are deferred until the other workers drain, so `body`'s captures
-        // stay borrowed-valid for the whole epoch.
-        let drove = catch_unwind(AssertUnwindSafe(driver));
-        let caller = if drove.is_ok() {
-            let t = Instant::now();
-            let outcome = catch_unwind(AssertUnwindSafe(|| body(0)));
-            self.shared
-                .busy_nanos
-                .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Release);
-            outcome
-        } else {
-            // Driver died: skip worker-0 participation, but the epoch must
-            // still drain before the panic may unwind past the borrow.
-            Ok(())
-        };
+        // A caller panic is deferred until the other workers drain, so
+        // `body`'s captures stay borrowed-valid for the whole epoch.
+        let caller = run_body(&self.shared, body, 0);
         let worker_panic = {
             let mut state = self.shared.state.lock().expect("pool state");
             while state.remaining > 0 {
@@ -276,9 +232,6 @@ impl WorkerPool {
             state.job = None;
             state.panic.take()
         };
-        if let Err(payload) = drove {
-            resume_unwind(payload);
-        }
         if let Err(payload) = caller {
             resume_unwind(payload);
         }
@@ -299,30 +252,16 @@ impl WorkerPool {
     ///
     /// Panics if `grain == 0`, and re-raises worker panics (see
     /// [`run`](WorkerPool::run)).
+    // ORDERING: Release on every per-worker counter increment — pairs with
+    // the Acquire loads in PoolCounters::accumulate (stats are results).
     pub fn run_indexed<T, F>(&self, n: usize, grain: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize, usize) -> T + Sync,
     {
-        self.run_indexed_overlapped(n, grain, f, || {})
-    }
-
-    /// [`run_indexed`](WorkerPool::run_indexed) with a serial `driver`
-    /// closure that the caller executes *before* joining the computation —
-    /// see [`run_overlapped`](WorkerPool::run_overlapped). The driver must
-    /// not depend on any `f` output (it runs concurrently with them).
-    // ORDERING: Release on every per-worker counter increment — pairs with
-    // the Acquire loads in PoolCounters::accumulate (stats are results).
-    pub fn run_indexed_overlapped<T, F, D>(&self, n: usize, grain: usize, f: F, driver: D) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, usize) -> T + Sync,
-        D: FnOnce(),
-    {
         assert!(grain >= 1, "grain must be at least 1");
         let slots = Slots::new(n);
         if n == 0 {
-            driver();
             return slots.into_vec();
         }
         let threads = self.threads;
@@ -343,58 +282,55 @@ impl WorkerPool {
             })
             .collect();
         let shared = &self.shared;
-        self.run_overlapped(
-            &|worker| {
-                let cells = &shared.counters[worker];
-                let mut rng = SplitMix64::new(STEAL_SEED.wrapping_add(worker as u64));
-                loop {
-                    let range = queues[worker].lock().expect("work deque").pop_front();
-                    if let Some((start, end)) = range {
-                        cells.claims.fetch_add(1, Ordering::Release);
-                        for i in start..end {
-                            slots.put(i, f(worker, i));
-                        }
+        self.run(&|worker| {
+            let cells = &shared.counters[worker];
+            let mut rng = SplitMix64::new(STEAL_SEED.wrapping_add(worker as u64));
+            loop {
+                let range = queues[worker].lock().expect("work deque").pop_front();
+                if let Some((start, end)) = range {
+                    cells.claims.fetch_add(1, Ordering::Release);
+                    for i in start..end {
+                        slots.put(i, f(worker, i));
+                    }
+                    continue;
+                }
+                // Own deque dry: a bounded hunt for work — a couple of
+                // random probes, then one full scan. Give up (and later
+                // park on the pool condvar) only after the scan saw
+                // every deque empty.
+                let hunt = Instant::now();
+                let mut stolen: Option<Vec<(usize, usize)>> = None;
+                let probes = (0..RANDOM_PROBES)
+                    .map(|_| (rng.next_u64() % threads as u64) as usize)
+                    .chain((0..threads).map(|k| (worker + 1 + k) % threads));
+                for victim in probes {
+                    if victim == worker {
                         continue;
                     }
-                    // Own deque dry: a bounded hunt for work — a couple of
-                    // random probes, then one full scan. Give up (and later
-                    // park on the pool condvar) only after the scan saw
-                    // every deque empty.
-                    let hunt = Instant::now();
-                    let mut stolen: Option<Vec<(usize, usize)>> = None;
-                    let probes = (0..RANDOM_PROBES)
-                        .map(|_| (rng.next_u64() % threads as u64) as usize)
-                        .chain((0..threads).map(|k| (worker + 1 + k) % threads));
-                    for victim in probes {
-                        if victim == worker {
-                            continue;
-                        }
-                        let mut vq = queues[victim].lock().expect("work deque");
-                        let len = vq.len();
-                        if len > 0 {
-                            // Take the back half (rounded up), preserving
-                            // range order; the victim keeps its front.
-                            let take = len - len / 2;
-                            stolen = Some(vq.drain(len - take..).collect());
-                            break;
-                        }
-                    }
-                    cells
-                        .spin_nanos
-                        .fetch_add(hunt.elapsed().as_nanos() as u64, Ordering::Release);
-                    match stolen {
-                        Some(batch) => {
-                            cells.steals.fetch_add(1, Ordering::Release);
-                            // Never hold two deque locks at once: the
-                            // victim's guard dropped at the end of the scan.
-                            queues[worker].lock().expect("work deque").extend(batch);
-                        }
-                        None => return,
+                    let mut vq = queues[victim].lock().expect("work deque");
+                    let len = vq.len();
+                    if len > 0 {
+                        // Take the back half (rounded up), preserving
+                        // range order; the victim keeps its front.
+                        let take = len - len / 2;
+                        stolen = Some(vq.drain(len - take..).collect());
+                        break;
                     }
                 }
-            },
-            driver,
-        );
+                cells
+                    .spin_nanos
+                    .fetch_add(hunt.elapsed().as_nanos() as u64, Ordering::Release);
+                match stolen {
+                    Some(batch) => {
+                        cells.steals.fetch_add(1, Ordering::Release);
+                        // Never hold two deque locks at once: the
+                        // victim's guard dropped at the end of the scan.
+                        queues[worker].lock().expect("work deque").extend(batch);
+                    }
+                    None => return,
+                }
+            }
+        });
         slots.into_vec()
     }
 
@@ -417,11 +353,6 @@ impl WorkerPool {
             .fetch_add(busy.as_nanos() as u64, Ordering::Release);
     }
 
-    /// Work grains claimed over the pool's lifetime (all workers).
-    pub fn grains_executed(&self) -> u64 {
-        self.totals().claims
-    }
-
     /// Summed scheduling counters across all workers.
     pub fn totals(&self) -> PoolCounters {
         let mut t = PoolCounters::default();
@@ -429,19 +360,6 @@ impl WorkerPool {
             t.accumulate(cells);
         }
         t
-    }
-
-    /// Per-worker scheduling counters, index = worker id.
-    pub fn worker_counters(&self) -> Vec<PoolCounters> {
-        self.shared
-            .counters
-            .iter()
-            .map(|cells| {
-                let mut t = PoolCounters::default();
-                t.accumulate(cells);
-                t
-            })
-            .collect()
     }
 
     /// Total time workers spent executing job bodies over the pool's
@@ -494,9 +412,22 @@ impl Drop for WorkerPool {
     }
 }
 
+/// Runs `body(id)`, adding its wall time to the pool's busy counter; a
+/// panic is caught and returned so the caller decides when to re-raise it.
+// ORDERING: Release on busy_nanos — pairs with the Acquire load in
+// busy_time; the epoch-drain mutex already orders everything else.
+fn run_body(shared: &Shared, body: &(dyn Fn(usize) + Sync), id: usize) -> std::thread::Result<()> {
+    let t = Instant::now();
+    let outcome = catch_unwind(AssertUnwindSafe(|| body(id)));
+    shared
+        .busy_nanos
+        .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Release);
+    outcome
+}
+
 #[allow(unsafe_code)] // audited: dereferences the pointer `run` published
-                      // ORDERING: Release on busy_nanos and the park counter — pairs with
-                      // the Acquire loads in busy_time/accumulate.
+                      // ORDERING: Release on the park counter — pairs with the Acquire
+                      // loads in accumulate.
 fn worker_loop(shared: &Shared, id: usize) {
     let mut last_epoch = 0u64;
     let mut state = shared.state.lock().expect("pool state");
@@ -511,11 +442,7 @@ fn worker_loop(shared: &Shared, id: usize) {
             // worker's decrement below — the closure is alive throughout.
             let body = unsafe { &*state.job.as_ref().expect("job for new epoch").0 };
             drop(state);
-            let t = Instant::now();
-            let outcome = catch_unwind(AssertUnwindSafe(|| body(id)));
-            shared
-                .busy_nanos
-                .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Release);
+            let outcome = run_body(shared, body, id);
             state = shared.state.lock().expect("pool state");
             if let Err(payload) = outcome {
                 if state.panic.is_none() {
@@ -596,7 +523,7 @@ mod tests {
         let pool = WorkerPool::new(4);
         let out = pool.run_indexed(100, 3, |_worker, i| i * i);
         assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-        assert!(pool.grains_executed() > 0);
+        assert!(pool.totals().claims > 0);
         assert!(pool.busy_time() > Duration::ZERO);
     }
 
@@ -682,59 +609,6 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_driver_runs_alongside_the_job() {
-        let pool = WorkerPool::new(4);
-        let driver_ran = AtomicUsize::new(0);
-        let out = pool.run_indexed_overlapped(
-            200,
-            2,
-            |_w, i| i + 7,
-            || {
-                driver_ran.fetch_add(1, Ordering::Relaxed);
-            },
-        );
-        assert_eq!(out, (0..200).map(|i| i + 7).collect::<Vec<_>>());
-        assert_eq!(driver_ran.load(Ordering::Relaxed), 1);
-        // threads == 1 degenerates to the serial order: driver, then body.
-        let serial = WorkerPool::new(1);
-        let order = Mutex::new(Vec::new());
-        let out = serial.run_indexed_overlapped(
-            3,
-            1,
-            |_w, i| {
-                order.lock().unwrap().push(format!("item{i}"));
-                i
-            },
-            || order.lock().unwrap().push("driver".into()),
-        );
-        assert_eq!(out, vec![0, 1, 2]);
-        assert_eq!(
-            *order.lock().unwrap(),
-            vec!["driver", "item0", "item1", "item2"]
-        );
-    }
-
-    #[test]
-    fn overlapped_driver_panic_propagates_after_drain() {
-        let pool = WorkerPool::new(4);
-        let executed = AtomicUsize::new(0);
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run_overlapped(
-                &|_worker| {
-                    executed.fetch_add(1, Ordering::Relaxed);
-                },
-                || panic!("driver exploded"),
-            );
-        }));
-        let err = outcome.expect_err("driver panic must reach the caller");
-        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert!(msg.contains("driver exploded"), "unexpected payload: {msg}");
-        // The spawned workers all ran their bodies; the pool still works.
-        assert_eq!(executed.load(Ordering::Relaxed), 3);
-        assert_eq!(pool.run_indexed(5, 1, |_w, i| i), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
     fn worker_panic_propagates_and_pool_survives() {
         let pool = WorkerPool::new(4);
         let attempts = AtomicUsize::new(0);
@@ -788,12 +662,9 @@ mod tests {
         pool.add_stall(0, Duration::from_millis(3));
         pool.add_stall(1, Duration::from_millis(4));
         pool.add_busy(Duration::from_millis(9));
-        let per_worker = pool.worker_counters();
-        assert_eq!(per_worker.len(), 2);
-        assert_eq!(per_worker[0].stall, Duration::from_millis(3));
-        assert_eq!(per_worker[1].stall, Duration::from_millis(4));
-        assert_eq!(pool.totals().stall, Duration::from_millis(7));
-        assert_eq!(pool.grains_executed(), 0);
+        let totals = pool.totals();
+        assert_eq!(totals.stall, Duration::from_millis(7));
+        assert_eq!(totals.claims, 0);
         assert!(pool.busy_time() >= Duration::from_millis(9));
     }
 
