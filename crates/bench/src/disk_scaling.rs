@@ -4,8 +4,9 @@
 //! engine). Two claims are under test:
 //!
 //! 1. The answer and the I/O are identical down every column — `n`,
-//!    `products`, disk reads/writes and bytes are a pure function of the
-//!    search, not of the worker count (checked unconditionally, on any
+//!    `products`, disk reads/writes and bytes, and every other counter
+//!    `TaneStats::counters` marks thread-invariant are a pure function of
+//!    the search, not of the worker count (checked unconditionally, on any
 //!    machine).
 //! 2. Once real parallelism is available, 8 workers beat 1 on wall time:
 //!    concurrent segment reads and refinements pay off
@@ -48,7 +49,7 @@ pub fn run(scale: Scale) -> Vec<DiskScalingRow> {
     );
 
     let mut rows = Vec::new();
-    let mut reference: Option<(usize, usize, u64, u64, u64, u64)> = None;
+    let mut reference = None;
     for &threads in &THREADS {
         let config = TaneConfig {
             storage: Storage::Disk {
@@ -60,35 +61,24 @@ pub fn run(scale: Scale) -> Vec<DiskScalingRow> {
         .with_max_lhs(3);
         let sw = Stopwatch::start();
         let result = discover_fds(&relation, &config).expect("disk-scaling run failed");
-        let secs = sw.elapsed_secs();
-        let s = &result.stats;
         let row = DiskScalingRow {
             threads,
             cores,
             n: result.fds.len(),
-            secs,
-            fetch_stall_secs: s.fetch_stall.as_secs_f64(),
-            products: s.products,
-            disk_reads: s.disk_reads,
-            disk_writes: s.disk_writes,
-            disk_bytes_read: s.disk_bytes_read,
-            disk_bytes_written: s.disk_bytes_written,
-            store_evictions: s.store_evictions,
-            store_pins: s.store_pins,
+            secs: sw.elapsed_secs(),
+            stats: result.stats,
         };
+        let s = &row.stats;
         // The determinism contract, checked on every machine: the worker
-        // count may not change the answer or the I/O the search performs.
-        let cols = (
-            row.n,
-            row.products,
-            row.disk_reads,
-            row.disk_writes,
-            row.disk_bytes_read,
-            row.disk_bytes_written,
-        );
-        match reference {
-            None => reference = Some(cols),
-            Some(r) => assert_eq!(r, cols, "threads={threads} changed the output or the I/O"),
+        // count may not change the answer, the I/O the search performs or
+        // any other thread-invariant counter.
+        let invariant = (row.n, s.invariant_counters());
+        match &reference {
+            None => reference = Some(invariant),
+            Some(r) => assert_eq!(
+                r, &invariant,
+                "threads={threads} changed the output or the I/O"
+            ),
         }
         println!(
             "{}",
@@ -98,13 +88,13 @@ pub fn run(scale: Scale) -> Vec<DiskScalingRow> {
                     row.threads.to_string(),
                     row.n.to_string(),
                     format!("{:.3}", row.secs),
-                    format!("{:.3}", row.fetch_stall_secs),
-                    row.disk_reads.to_string(),
-                    row.disk_writes.to_string(),
-                    row.disk_bytes_read.to_string(),
-                    row.disk_bytes_written.to_string(),
-                    row.store_evictions.to_string(),
-                    row.store_pins.to_string(),
+                    format!("{:.3}", s.fetch_stall.as_secs_f64()),
+                    s.disk_reads.to_string(),
+                    s.disk_writes.to_string(),
+                    s.disk_bytes_read.to_string(),
+                    s.disk_bytes_written.to_string(),
+                    s.store_evictions.to_string(),
+                    s.store_pins.to_string(),
                 ]
             )
         );

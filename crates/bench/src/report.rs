@@ -2,10 +2,11 @@
 //!
 //! Serialization is hand-rolled onto [`tane_util::Json`] (`serde` is not
 //! available in the offline build); each row type has a `to_json` mirror
-//! of its fields, so the emitted document is field-for-field what the
-//! `serde` derive used to produce.
+//! of its fields, and a row holding a `TaneStats` lists its own columns
+//! and then the stats' counters, flat, under their `/v1` stats keys.
 
 use crate::runners::{cell_json, Cell};
+use tane_core::TaneStats;
 use tane_util::Json;
 
 /// One Table 1 row.
@@ -213,58 +214,34 @@ pub struct ScalingRow {
     pub n: usize,
     /// Wall-clock seconds.
     pub secs: f64,
-    /// Partition products computed (thread-invariant).
-    pub products: usize,
-    /// Summed worker busy time across the pool. The serial runtime records
-    /// its compute sections here too (`serial: true` marks those rows), so
-    /// utilization is comparable against the 1-thread baseline.
-    pub worker_busy_secs: f64,
-    /// Successful work steals across the pool (scheduling instrumentation;
-    /// 0 on serial rows).
-    pub worker_steals: u64,
-    /// Times workers parked on the dispatch condvar instead of spinning.
-    pub park_count: u64,
-    /// Time workers spent probing other deques for work before parking.
-    pub spin_secs: f64,
-    /// `true` when `threads == 1`: the paper-faithful serial runtime, no
-    /// pool dispatch (busy time is the inline compute sections).
-    pub serial: bool,
-    /// Time the product stage spent waiting on partition fetches.
-    pub fetch_stall_secs: f64,
-    /// Bytes read back from spilled partitions.
-    pub disk_bytes_read: u64,
-    /// Bytes spilled to disk.
-    pub disk_bytes_written: u64,
+    /// The search's statistics; the JSON row carries every counter.
+    pub stats: TaneStats,
 }
 
 impl ScalingRow {
     fn to_json(&self) -> Json {
-        Json::obj([
-            ("storage", Json::Str(self.storage.clone())),
-            ("threads", Json::Num(self.threads as f64)),
-            ("cores", Json::Num(self.cores as f64)),
-            ("n", Json::Num(self.n as f64)),
-            ("secs", Json::Num(self.secs)),
-            ("products", Json::Num(self.products as f64)),
-            ("worker_busy_secs", Json::Num(self.worker_busy_secs)),
-            ("worker_steals", Json::Num(self.worker_steals as f64)),
-            ("park_count", Json::Num(self.park_count as f64)),
-            ("spin_secs", Json::Num(self.spin_secs)),
-            ("serial", Json::Bool(self.serial)),
-            ("fetch_stall_secs", Json::Num(self.fetch_stall_secs)),
-            ("disk_bytes_read", Json::Num(self.disk_bytes_read as f64)),
-            (
-                "disk_bytes_written",
-                Json::Num(self.disk_bytes_written as f64),
-            ),
-        ])
+        with_counters(
+            Json::obj([
+                ("storage", Json::Str(self.storage.clone())),
+                ("threads", Json::Num(self.threads as f64)),
+                ("cores", Json::Num(self.cores as f64)),
+                ("n", Json::Num(self.n as f64)),
+                ("secs", Json::Num(self.secs)),
+                // `threads == 1` is the paper-faithful serial runtime, no
+                // pool dispatch (busy time is the inline compute sections).
+                ("serial", Json::Bool(self.threads == 1)),
+            ]),
+            &self.stats,
+            false,
+        )
     }
 }
 
 /// One disk-mode measurement: the same disk-backed search at one worker
 /// count, every worker fetching its parents concurrently from the shared
-/// segment store. `n`, `products`, and all four disk I/O columns must be
-/// identical down every column — the worker count may only move wall time.
+/// segment store. `n` and every thread-invariant counter (products, the
+/// disk I/O) must be identical down every column — the worker count may
+/// only move wall time.
 #[derive(Debug)]
 pub struct DiskScalingRow {
     /// Worker threads configured for the search.
@@ -275,51 +252,37 @@ pub struct DiskScalingRow {
     pub n: usize,
     /// Wall-clock seconds.
     pub secs: f64,
-    /// Time the product stage spent waiting on partition fetches.
-    pub fetch_stall_secs: f64,
-    /// Partition products computed (invariant).
-    pub products: usize,
-    /// Cold partition fetches served from segment files (invariant: phase
-    /// pinning makes the per-level cold set independent of thread count).
-    pub disk_reads: u64,
-    /// Partitions written to segment files (invariant).
-    pub disk_writes: u64,
-    /// Bytes read back from spilled partitions (invariant).
-    pub disk_bytes_read: u64,
-    /// Bytes spilled to disk (invariant).
-    pub disk_bytes_written: u64,
-    /// Partitions evicted from the resident cache.
-    pub store_evictions: u64,
-    /// Fetches pinned resident by a level's read phase.
-    pub store_pins: u64,
+    /// The search's statistics; the JSON row carries every counter.
+    pub stats: TaneStats,
 }
 
 impl DiskScalingRow {
     fn to_json(&self) -> Json {
-        Json::obj([
-            ("threads", Json::Num(self.threads as f64)),
-            ("cores", Json::Num(self.cores as f64)),
-            ("n", Json::Num(self.n as f64)),
-            ("secs", Json::Num(self.secs)),
-            ("fetch_stall_secs", Json::Num(self.fetch_stall_secs)),
-            ("products", Json::Num(self.products as f64)),
-            ("disk_reads", Json::Num(self.disk_reads as f64)),
-            ("disk_writes", Json::Num(self.disk_writes as f64)),
-            ("disk_bytes_read", Json::Num(self.disk_bytes_read as f64)),
-            (
-                "disk_bytes_written",
-                Json::Num(self.disk_bytes_written as f64),
-            ),
-            ("store_evictions", Json::Num(self.store_evictions as f64)),
-            ("store_pins", Json::Num(self.store_pins as f64)),
-        ])
+        with_counters(
+            Json::obj([
+                ("threads", Json::Num(self.threads as f64)),
+                ("cores", Json::Num(self.cores as f64)),
+                ("n", Json::Num(self.n as f64)),
+                ("secs", Json::Num(self.secs)),
+            ]),
+            &self.stats,
+            false,
+        )
     }
+}
+
+/// A row's own columns followed by the counters the search reports.
+fn with_counters(mut row: Json, stats: &TaneStats, ranked: bool) -> Json {
+    if let (Json::Obj(members), Json::Obj(counters)) = (&mut row, stats.to_json(ranked)) {
+        members.extend(counters);
+    }
+    row
 }
 
 /// One top-k ranked-search measurement: the ranked walk on one dataset at
 /// one heap bound. `k = None` is the unbounded baseline — the same walk
 /// with a heap that never fills, so the bound and the early exit cannot
-/// fire and the pruning columns read zero.
+/// fire and the pruning counters read zero.
 #[derive(Debug)]
 pub struct TopKRow {
     /// Dataset label.
@@ -334,39 +297,30 @@ pub struct TopKRow {
     pub heap_len: usize,
     /// Wall-clock seconds.
     pub secs: f64,
-    /// Validity tests decided.
-    pub validity_tests: usize,
-    /// Exact `g3` computations paid for (tests the bound could not skip).
-    pub g3_exact: usize,
-    /// Candidates skipped because their `g3` lower bound could not beat
-    /// the k-th best.
-    pub bound_pruned: u64,
-    /// Candidates skipped because a recorded generalization already scored
-    /// no worse.
-    pub dominated: u64,
-    /// Level after which the walk stopped early, if it did.
-    pub early_exit_level: Option<usize>,
+    /// The search's statistics; the JSON row carries every counter, the
+    /// ranked ones included, and the early-exit level.
+    pub stats: TaneStats,
 }
 
 impl TopKRow {
     fn to_json(&self) -> Json {
-        Json::obj([
-            ("dataset", Json::Str(self.dataset.clone())),
-            ("rows", Json::Num(self.rows as f64)),
-            ("attrs", Json::Num(self.attrs as f64)),
-            ("k", self.k.map_or(Json::Null, |k| Json::Num(k as f64))),
-            ("heap_len", Json::Num(self.heap_len as f64)),
-            ("secs", Json::Num(self.secs)),
-            ("validity_tests", Json::Num(self.validity_tests as f64)),
-            ("g3_exact", Json::Num(self.g3_exact as f64)),
-            ("bound_pruned", Json::Num(self.bound_pruned as f64)),
-            ("dominated", Json::Num(self.dominated as f64)),
-            (
-                "early_exit_level",
-                self.early_exit_level
-                    .map_or(Json::Null, |l| Json::Num(l as f64)),
-            ),
-        ])
+        let exit = self.stats.topk_early_exit_level;
+        with_counters(
+            Json::obj([
+                ("dataset", Json::Str(self.dataset.clone())),
+                ("rows", Json::Num(self.rows as f64)),
+                ("attrs", Json::Num(self.attrs as f64)),
+                ("k", self.k.map_or(Json::Null, |k| Json::Num(k as f64))),
+                ("heap_len", Json::Num(self.heap_len as f64)),
+                ("secs", Json::Num(self.secs)),
+                (
+                    "early_exit_level",
+                    exit.map_or(Json::Null, |l| Json::Num(l as f64)),
+                ),
+            ]),
+            &self.stats,
+            true,
+        )
     }
 }
 
@@ -495,6 +449,7 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn report_serializes_to_parseable_json() {
@@ -518,15 +473,12 @@ mod tests {
                 cores: 8,
                 n: 48,
                 secs: 0.75,
-                products: 1925,
-                worker_busy_secs: 1.2,
-                worker_steals: 7,
-                park_count: 3,
-                spin_secs: 0.01,
-                serial: false,
-                fetch_stall_secs: 0.1,
-                disk_bytes_read: 4096,
-                disk_bytes_written: 8192,
+                stats: TaneStats {
+                    worker_parks: 3,
+                    worker_spin: Duration::from_millis(10),
+                    disk_bytes_written: 8192,
+                    ..TaneStats::default()
+                },
             }],
             figure4: vec![Figure4Point {
                 copies: 2,
@@ -540,14 +492,11 @@ mod tests {
                 cores: 8,
                 n: 48,
                 secs: 0.4,
-                fetch_stall_secs: 0.05,
-                products: 1925,
-                disk_reads: 300,
-                disk_writes: 410,
-                disk_bytes_read: 4096,
-                disk_bytes_written: 8192,
-                store_evictions: 120,
-                store_pins: 300,
+                stats: TaneStats {
+                    disk_reads: 300,
+                    store_pins: 290,
+                    ..TaneStats::default()
+                },
             }],
             topk: vec![TopKRow {
                 dataset: "wbc".into(),
@@ -556,11 +505,11 @@ mod tests {
                 k: Some(5),
                 heap_len: 5,
                 secs: 0.2,
-                validity_tests: 1200,
-                g3_exact: 40,
-                bound_pruned: 900,
-                dominated: 30,
-                early_exit_level: Some(7),
+                stats: TaneStats {
+                    topk_bound_pruned: 900,
+                    topk_early_exit_level: Some(7),
+                    ..TaneStats::default()
+                },
             }],
             ..Report::default()
         };
@@ -580,23 +529,25 @@ mod tests {
             .as_array()
             .unwrap()
             .is_empty());
-        let scaling = parsed.get("scaling").unwrap().as_array().unwrap();
-        assert_eq!(scaling[0].get("storage").unwrap().as_str(), Some("disk"));
-        assert_eq!(scaling[0].get("threads").unwrap().as_usize(), Some(2));
-        assert_eq!(scaling[0].get("worker_steals").unwrap().as_usize(), Some(7));
-        assert_eq!(scaling[0].get("park_count").unwrap().as_usize(), Some(3));
-        assert_eq!(scaling[0].get("serial").unwrap().as_bool(), Some(false));
-        assert_eq!(
-            scaling[0].get("disk_bytes_written").unwrap().as_usize(),
-            Some(8192)
-        );
-        let disk = parsed.get("disk_scaling").unwrap().as_array().unwrap();
-        assert_eq!(disk[0].get("threads").unwrap().as_usize(), Some(8));
-        assert_eq!(disk[0].get("disk_reads").unwrap().as_usize(), Some(300));
-        assert_eq!(disk[0].get("store_pins").unwrap().as_usize(), Some(300));
-        let topk = parsed.get("topk").unwrap().as_array().unwrap();
-        assert_eq!(topk[0].get("k").unwrap().as_usize(), Some(5));
-        assert_eq!(topk[0].get("bound_pruned").unwrap().as_usize(), Some(900));
-        assert_eq!(topk[0].get("early_exit_level").unwrap().as_usize(), Some(7));
+        // Each row: its own columns, then the search's counters by their
+        // `TaneStats::counters` keys; ranked ones only in top-k rows.
+        let row = |table: &str| parsed.get(table).unwrap().as_array().unwrap()[0].clone();
+        let num = |row: &Json, key: &str| row.get(key).and_then(Json::as_f64);
+        let scaling = row("scaling");
+        assert_eq!(scaling.get("storage").unwrap().as_str(), Some("disk"));
+        assert_eq!(scaling.get("serial").unwrap().as_bool(), Some(false));
+        assert_eq!(num(&scaling, "threads"), Some(2.0));
+        assert_eq!(num(&scaling, "worker_parks"), Some(3.0));
+        assert_eq!(num(&scaling, "worker_spin_secs"), Some(0.01));
+        assert_eq!(num(&scaling, "disk_bytes_written"), Some(8192.0));
+        assert_eq!(num(&scaling, "topk_dominated"), None);
+        let disk = row("disk_scaling");
+        assert_eq!(num(&disk, "threads"), Some(8.0));
+        assert_eq!(num(&disk, "disk_reads"), Some(300.0));
+        assert_eq!(num(&disk, "store_pins"), Some(290.0));
+        let topk = row("topk");
+        assert_eq!(num(&topk, "k"), Some(5.0));
+        assert_eq!(num(&topk, "topk_bound_pruned"), Some(900.0));
+        assert_eq!(num(&topk, "early_exit_level"), Some(7.0));
     }
 }

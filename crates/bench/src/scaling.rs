@@ -1,7 +1,8 @@
 //! Thread-scaling experiment (beyond the paper): the same search at 1, 2,
 //! 4, and 8 pool workers, on both storage backends. Two claims are under
-//! test: the dependency count and product count must be identical down
-//! every column (the runtime is deterministic by construction — see
+//! test: the dependency count and every thread-invariant counter (products
+//! among them) must be identical down every column (the runtime is
+//! deterministic by construction — see
 //! DESIGN.md §9), and the instrumentation (worker busy time, steals,
 //! parks, spin, fetch stall) must explain where the wall-clock goes. On a
 //! single-core machine the rows legitimately show no speedup; the `cores`
@@ -123,7 +124,7 @@ pub fn run(scale: Scale) -> Vec<ScalingRow> {
 
     let mut rows = Vec::new();
     for (label, storage) in &storages {
-        let mut reference: Option<(usize, usize)> = None;
+        let mut reference = None;
         for &threads in &THREADS {
             // max_lhs bounds the 15-attribute lattice so a cell is seconds,
             // not hours; the bound is identical in every cell, so the
@@ -136,28 +137,20 @@ pub fn run(scale: Scale) -> Vec<ScalingRow> {
             .with_max_lhs(3);
             let sw = Stopwatch::start();
             let result = discover_fds(&relation, &config).expect("scaling run failed");
-            let secs = sw.elapsed_secs();
             let row = ScalingRow {
                 storage: label.to_string(),
                 threads,
                 cores,
                 n: result.fds.len(),
-                secs,
-                products: result.stats.products,
-                worker_busy_secs: result.stats.worker_busy.as_secs_f64(),
-                worker_steals: result.stats.worker_steals,
-                park_count: result.stats.worker_parks,
-                spin_secs: result.stats.worker_spin.as_secs_f64(),
-                serial: threads == 1,
-                fetch_stall_secs: result.stats.fetch_stall.as_secs_f64(),
-                disk_bytes_read: result.stats.disk_bytes_read,
-                disk_bytes_written: result.stats.disk_bytes_written,
+                secs: sw.elapsed_secs(),
+                stats: result.stats,
             };
-            match reference {
-                None => reference = Some((row.n, row.products)),
+            let s = &row.stats;
+            let invariant = (row.n, s.invariant_counters());
+            match &reference {
+                None => reference = Some(invariant),
                 Some(r) => assert_eq!(
-                    r,
-                    (row.n, row.products),
+                    r, &invariant,
                     "{label}/threads={threads} changed the output"
                 ),
             }
@@ -170,13 +163,13 @@ pub fn run(scale: Scale) -> Vec<ScalingRow> {
                         row.threads.to_string(),
                         row.n.to_string(),
                         format!("{:.3}", row.secs),
-                        format!("{:.3}", row.worker_busy_secs),
-                        row.worker_steals.to_string(),
-                        row.park_count.to_string(),
-                        format!("{:.3}", row.spin_secs),
-                        format!("{:.3}", row.fetch_stall_secs),
-                        row.disk_bytes_read.to_string(),
-                        row.disk_bytes_written.to_string(),
+                        format!("{:.3}", s.worker_busy.as_secs_f64()),
+                        s.worker_steals.to_string(),
+                        s.worker_parks.to_string(),
+                        format!("{:.3}", s.worker_spin.as_secs_f64()),
+                        format!("{:.3}", s.fetch_stall.as_secs_f64()),
+                        s.disk_bytes_read.to_string(),
+                        s.disk_bytes_written.to_string(),
                     ]
                 )
             );

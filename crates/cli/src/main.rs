@@ -14,7 +14,8 @@ use std::process::ExitCode;
 
 use tane_core::{
     discover_approx_fds, discover_approx_fds_with, discover_fds, discover_fds_with,
-    discover_topk_fds_with, ApproxTaneConfig, LevelEvent, TaneConfig, TopKConfig, TopKEvent,
+    discover_topk_fds_with, ApproxTaneConfig, LevelEvent, TaneConfig, TaneStats, TopKConfig,
+    TopKEvent,
 };
 use tane_relation::csv::{read_csv, write_csv, CsvOptions};
 use tane_relation::{NullSemantics, Relation};
@@ -315,50 +316,13 @@ fn discover(args: &[String]) -> Result<(), String> {
                 eprintln!("# {} minimal dependencies", result.fds.len());
             }
             if opts.flag("stats") {
-                let s = &result.stats;
-                eprintln!("# levels: {}", s.levels);
-                eprintln!("# sets processed (s): {}", s.sets_total);
-                eprintln!("# largest level (s_max): {}", s.sets_max_level);
-                eprintln!("# validity tests (v): {}", s.validity_tests);
-                eprintln!("# keys found (k): {}", s.keys_found);
-                eprintln!("# partition products: {}", s.products);
-                eprintln!("# exact g3 computations: {}", s.g3_exact_computations);
-                eprintln!("# tests decided by g3 bounds: {}", s.g3_decided_by_bounds);
+                print_stats(&result.stats, ranked_mode);
                 if ranked_mode {
-                    eprintln!(
-                        "# top-k bound-pruned/dominated: {}/{}",
-                        s.topk_bound_pruned, s.topk_dominated
-                    );
-                    eprintln!("# top-k heap insertions: {}", s.topk_improvements);
-                    match s.topk_early_exit_level {
+                    match result.stats.topk_early_exit_level {
                         Some(l) => eprintln!("# top-k early exit after level {l}"),
                         None => eprintln!("# top-k walked the full lattice"),
                     }
                 }
-                eprintln!("# disk reads/writes: {}/{}", s.disk_reads, s.disk_writes);
-                eprintln!(
-                    "# disk bytes read/written: {}/{}",
-                    s.disk_bytes_read, s.disk_bytes_written
-                );
-                eprintln!(
-                    "# store evictions/pins/oversized: {}/{}/{}",
-                    s.store_evictions, s.store_pins, s.oversized_resident
-                );
-                eprintln!(
-                    "# parallel workers/grains: {}/{}",
-                    s.parallel_workers, s.parallel_grains
-                );
-                eprintln!(
-                    "# worker steals/parks: {}/{}",
-                    s.worker_steals, s.worker_parks
-                );
-                eprintln!(
-                    "# worker busy / spin / fetch stall: {:.3}s/{:.3}s/{:.3}s",
-                    s.worker_busy.as_secs_f64(),
-                    s.worker_spin.as_secs_f64(),
-                    s.fetch_stall.as_secs_f64()
-                );
-                eprintln!("# time: {:.3}s", s.elapsed.as_secs_f64());
             }
         }
         "fdep" => {
@@ -511,17 +475,21 @@ fn patch(args: &[String]) -> Result<(), String> {
         merged.num_rows()
     );
     if opts.flag("stats") {
-        let s = &result.stats;
         eprintln!(
             "# appended/deleted: {}/{}",
             delta.appends.len(),
             delta.deletes.len()
         );
-        eprintln!("# partition products: {}", s.products);
-        eprintln!("# validity tests: {}", s.validity_tests);
-        eprintln!("# time: {:.3}s", s.elapsed.as_secs_f64());
+        print_stats(&result.stats, false);
     }
     Ok(())
+}
+
+/// `--stats`: one `# <counter>: <value>` line per reported search counter.
+fn print_stats(stats: &TaneStats, ranked: bool) {
+    for c in stats.reported(ranked) {
+        eprintln!("# {}: {}", c.name.replace('_', " "), c.value);
+    }
 }
 
 fn dataset(args: &[String]) -> Result<(), String> {

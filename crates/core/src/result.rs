@@ -4,7 +4,7 @@ use std::fmt;
 use std::time::Duration;
 use tane_partition::StoreError;
 use tane_relation::Schema;
-use tane_util::Fd;
+use tane_util::{Fd, Json};
 
 /// Errors a TANE run can produce. The search itself is total; failures come
 /// from the partition store (disk variant) only.
@@ -65,6 +65,11 @@ pub struct LevelEvent {
 /// Search statistics, matching the quantities of the paper's analysis
 /// (Section 6): `s` = total sets processed, `s_max` = largest level, `k` =
 /// keys found, `v` = validity tests.
+///
+/// [`counters`](Self::counters) is the one list of the scalar fields:
+/// the service's `stats` object and `/v1/metrics`, `tane --stats` and the
+/// `repro` rows all iterate it, so a new scalar field is reported
+/// everywhere by adding its entry there.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TaneStats {
     /// Number of lattice levels processed (deepest `ℓ` with `L_ℓ ≠ ∅`).
@@ -159,6 +164,153 @@ pub struct TaneStats {
     pub elapsed: Duration,
 }
 
+/// Number of entries in [`TaneStats::counters`].
+pub const COUNTERS: usize = 27;
+
+/// A counter's value, by how it aggregates over several searches.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CounterValue {
+    /// An event count; sums.
+    Count(u64),
+    /// A high-water mark or a configured size; aggregates by maximum.
+    Peak(u64),
+    /// A duration; sums, and reads in seconds under `<name>_secs`.
+    Time(Duration),
+}
+
+impl CounterValue {
+    /// The value as one integer: the count, or the duration in nanoseconds.
+    pub fn raw(self) -> u64 {
+        match self {
+            CounterValue::Count(v) | CounterValue::Peak(v) => v,
+            CounterValue::Time(d) => d.as_nanos() as u64,
+        }
+    }
+
+    /// The same kind of value holding `raw` (see [`raw`](Self::raw)).
+    pub fn with_raw(self, raw: u64) -> CounterValue {
+        match self {
+            CounterValue::Count(_) => CounterValue::Count(raw),
+            CounterValue::Peak(_) => CounterValue::Peak(raw),
+            CounterValue::Time(_) => CounterValue::Time(Duration::from_nanos(raw)),
+        }
+    }
+
+    /// The value as a JSON number (a duration in seconds).
+    pub fn to_json(self) -> Json {
+        match self {
+            CounterValue::Count(v) | CounterValue::Peak(v) => Json::Num(v as f64),
+            CounterValue::Time(d) => Json::Num(d.as_secs_f64()),
+        }
+    }
+}
+
+impl fmt::Display for CounterValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CounterValue::Count(v) | CounterValue::Peak(v) => write!(f, "{v}"),
+            CounterValue::Time(d) => write!(f, "{:.3}s", d.as_secs_f64()),
+        }
+    }
+}
+
+/// One scalar statistic of a search: an entry of [`TaneStats::counters`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Counter {
+    /// The [`TaneStats`] field name.
+    pub name: &'static str,
+    /// The field's value.
+    pub value: CounterValue,
+    /// Reported for ranked (top-k) searches only; always 0 otherwise.
+    pub ranked_only: bool,
+    /// Identical at every thread count, on either storage backend, in
+    /// exact and approximate mode (checked by `parallel_determinism`).
+    pub thread_invariant: bool,
+}
+
+impl Counter {
+    /// The counter's key in JSON documents: the field name, with `_secs`
+    /// appended for a duration.
+    pub fn key(&self) -> String {
+        match self.value {
+            CounterValue::Time(_) => format!("{}_secs", self.name),
+            _ => self.name.to_string(),
+        }
+    }
+}
+
+impl TaneStats {
+    /// Every scalar field once, in report order. The non-scalar fields
+    /// (`sets_per_level`, `level_times`, `topk_early_exit_level`) are
+    /// reported by their consumers.
+    pub fn counters(&self) -> [Counter; COUNTERS] {
+        use CounterValue::{Count, Peak, Time};
+        let entry = |name, value, ranked_only, thread_invariant| Counter {
+            name,
+            value,
+            ranked_only,
+            thread_invariant,
+        };
+        let invariant = |name, value| entry(name, value, false, true);
+        let runtime = |name, value| entry(name, value, false, false);
+        let ranked = |name, value| entry(name, value, true, false);
+        let n = |v: usize| v as u64;
+        [
+            invariant("levels", Count(n(self.levels))),
+            invariant("sets_total", Count(n(self.sets_total))),
+            invariant("sets_max_level", Peak(n(self.sets_max_level))),
+            invariant("validity_tests", Count(n(self.validity_tests))),
+            invariant("keys_found", Count(n(self.keys_found))),
+            invariant("products", Count(n(self.products))),
+            invariant(
+                "g3_exact_computations",
+                Count(n(self.g3_exact_computations)),
+            ),
+            invariant("g3_decided_by_bounds", Count(n(self.g3_decided_by_bounds))),
+            invariant("disk_reads", Count(self.disk_reads)),
+            invariant("disk_writes", Count(self.disk_writes)),
+            invariant("disk_bytes_read", Count(self.disk_bytes_read)),
+            invariant("disk_bytes_written", Count(self.disk_bytes_written)),
+            invariant("peak_resident_bytes", Peak(n(self.peak_resident_bytes))),
+            invariant("store_evictions", Count(self.store_evictions)),
+            invariant("store_pins", Count(self.store_pins)),
+            invariant("oversized_resident", Count(self.oversized_resident)),
+            runtime("parallel_workers", Peak(n(self.parallel_workers))),
+            runtime("parallel_grains", Count(self.parallel_grains)),
+            runtime("worker_steals", Count(self.worker_steals)),
+            runtime("worker_parks", Count(self.worker_parks)),
+            runtime("worker_spin", Time(self.worker_spin)),
+            runtime("worker_busy", Time(self.worker_busy)),
+            runtime("fetch_stall", Time(self.fetch_stall)),
+            runtime("elapsed", Time(self.elapsed)),
+            ranked("topk_bound_pruned", Count(self.topk_bound_pruned)),
+            ranked("topk_dominated", Count(self.topk_dominated)),
+            ranked("topk_improvements", Count(self.topk_improvements)),
+        ]
+    }
+
+    /// The counters a search reports: all of them for a ranked search,
+    /// all but the ranked-only ones otherwise.
+    pub fn reported(&self, ranked: bool) -> impl Iterator<Item = Counter> {
+        self.counters()
+            .into_iter()
+            .filter(move |c| ranked || !c.ranked_only)
+    }
+
+    /// The thread-invariant counters: what a search reports identically at
+    /// every worker count.
+    pub fn invariant_counters(&self) -> Vec<Counter> {
+        let counters = self.counters().into_iter();
+        counters.filter(|c| c.thread_invariant).collect()
+    }
+
+    /// The [`reported`](Self::reported) counters as one JSON object.
+    pub fn to_json(&self, ranked: bool) -> Json {
+        let members = self.reported(ranked).map(|c| (c.key(), c.value.to_json()));
+        Json::Obj(members.collect())
+    }
+}
+
 /// The outcome of a discovery run: the minimal cover plus statistics.
 #[derive(Debug, Clone)]
 pub struct TaneResult {
@@ -229,10 +381,62 @@ mod tests {
     }
 
     #[test]
-    fn stats_default_is_zeroed() {
-        let s = TaneStats::default();
-        assert_eq!(s.sets_total, 0);
-        assert_eq!(s.validity_tests, 0);
-        assert_eq!(s.elapsed, Duration::ZERO);
+    fn counters_list_every_scalar_field_once() {
+        // No `..Default::default()`: a new field breaks compilation here
+        // until it gets a value, and the assertions below until it gets an
+        // entry in `counters()`.
+        let ns = Duration::from_nanos;
+        let stats = TaneStats {
+            levels: 1,
+            sets_per_level: vec![100, 101],
+            sets_total: 2,
+            sets_max_level: 3,
+            validity_tests: 4,
+            g3_exact_computations: 5,
+            g3_decided_by_bounds: 6,
+            keys_found: 7,
+            products: 8,
+            disk_reads: 9,
+            disk_writes: 10,
+            disk_bytes_read: 11,
+            disk_bytes_written: 12,
+            peak_resident_bytes: 13,
+            store_evictions: 14,
+            store_pins: 15,
+            oversized_resident: 16,
+            parallel_workers: 17,
+            parallel_grains: 18,
+            worker_steals: 19,
+            worker_parks: 20,
+            worker_spin: ns(21),
+            worker_busy: ns(22),
+            fetch_stall: ns(23),
+            topk_bound_pruned: 24,
+            topk_dominated: 25,
+            topk_improvements: 26,
+            topk_early_exit_level: Some(102),
+            level_times: vec![ns(103), ns(104)],
+            elapsed: ns(27),
+        };
+        let counters = stats.counters();
+        let mut raw: Vec<u64> = counters.iter().map(|c| c.value.raw()).collect();
+        raw.sort_unstable();
+        assert_eq!(raw, (1..=COUNTERS as u64).collect::<Vec<_>>());
+        let names: std::collections::BTreeSet<_> = counters.iter().map(|c| c.name).collect();
+        assert_eq!(names.len(), COUNTERS, "duplicate counter names");
+        // Each entry is named after the field it reads.
+        let debug = format!("{stats:?}");
+        for c in &counters {
+            let value = match c.value {
+                CounterValue::Time(d) => format!("{d:?}"),
+                v => v.to_string(),
+            };
+            let field = format!(" {}: {value}", c.name);
+            assert!(
+                debug.contains(&format!("{field},")) || debug.contains(&format!("{field} }}")),
+                "{} does not read its own field",
+                c.name
+            );
+        }
     }
 }

@@ -4,9 +4,10 @@
 //! changes *which worker* fills a slot, never which slot (DESIGN §9) — so
 //! `threads ∈ {1, 2, 4, 8}` have to produce identical dependencies, keys,
 //! and lattice statistics on every combination of dataset × storage
-//! backend × mode — including the counters (`products`, `validity_tests`,
-//! `g3_*`, the store's I/O and cache counters) that would drift first if
-//! scheduling leaked into the search — and the same per-level event stream.
+//! backend × mode — including every counter `TaneStats::counters` marks
+//! thread-invariant (`products`, `validity_tests`, `g3_*`, the store's I/O
+//! and cache counters: the ones that would drift first if scheduling leaked
+//! into the search) — and the same per-level event stream.
 
 use tane_core::{
     discover_approx_fds, discover_approx_fds_with, discover_fds, discover_fds_with,
@@ -86,29 +87,15 @@ fn storages() -> Vec<(&'static str, Storage)> {
     ]
 }
 
-/// Everything that must be invariant across worker counts. Wall-clock and
+/// Everything that must be invariant across worker counts: the answer and
+/// every counter the stats table marks thread-invariant. Wall-clock and
 /// the parallel instrumentation (grains, busy time) legitimately vary.
 fn invariant_view(r: &TaneResult) -> impl PartialEq + std::fmt::Debug {
     (
         r.fds.clone(),
         r.keys.clone(),
-        r.stats.products,
-        r.stats.levels,
         r.stats.sets_per_level.clone(),
-        r.stats.validity_tests,
-        r.stats.g3_exact_computations,
-        r.stats.g3_decided_by_bounds,
-        r.stats.keys_found,
-        // Tuples compare up to 12 fields: the store counters nest.
-        (
-            r.stats.disk_reads,
-            r.stats.disk_writes,
-            r.stats.disk_bytes_read,
-            r.stats.disk_bytes_written,
-            r.stats.store_evictions,
-            r.stats.store_pins,
-            r.stats.oversized_resident,
-        ),
+        r.stats.invariant_counters(),
     )
 }
 

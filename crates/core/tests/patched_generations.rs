@@ -128,20 +128,13 @@ fn observable(levels: &[LevelEvent], result: &TaneResult) -> String {
     }
     out.push_str("cover:\n");
     out.push_str(&result.render(&names));
-    let s = &result.stats;
     out.push_str(&format!(
-        "keys: {:?}\nsets per level: {:?}\nproducts {} validity tests {} keys {} \
-         g3 exact {} g3 by bounds {} disk reads {} disk writes {}\n",
-        result.keys,
-        s.sets_per_level,
-        s.products,
-        s.validity_tests,
-        s.keys_found,
-        s.g3_exact_computations,
-        s.g3_decided_by_bounds,
-        s.disk_reads,
-        s.disk_writes,
+        "keys: {:?}\nsets per level: {:?}\n",
+        result.keys, result.stats.sets_per_level
     ));
+    for c in result.stats.invariant_counters() {
+        out.push_str(&format!("{}: {}\n", c.name, c.value));
+    }
     out
 }
 

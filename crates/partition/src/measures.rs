@@ -167,11 +167,11 @@ mod tests {
         };
         let mut pairs = 0usize;
         let mut involved = vec![false; n];
-        for t in 0..n {
+        for (t, inv) in involved.iter_mut().enumerate() {
             for u in 0..n {
                 if t != u && agree_x(t, u) && r.column_codes(a)[t] != r.column_codes(a)[u] {
                     pairs += 1;
-                    involved[t] = true;
+                    *inv = true;
                 }
             }
         }

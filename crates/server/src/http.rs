@@ -686,7 +686,7 @@ mod tests {
             !text.contains("content-length"),
             "chunked bodies carry no content-length"
         );
-        let payload = text.splitn(2, "\r\n\r\n").nth(1).unwrap();
+        let (_, payload) = text.split_once("\r\n\r\n").unwrap();
         assert_eq!(
             payload,
             "c\r\n{\"level\":1}\n\r\nc\r\n{\"level\":2}\n\r\n0\r\n\r\n"

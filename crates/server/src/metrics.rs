@@ -2,14 +2,14 @@
 //!
 //! Everything is a relaxed atomic or a short-held mutex: metrics recording
 //! sits on the worker hot path and must never serialize the pool. The
-//! per-level search timings reuse the `TaneStats::level_times` instrumented
-//! in `tane-core` — the service aggregates them across jobs so `/metrics`
-//! shows where lattice time actually goes, level by level.
+//! search aggregates are one atomic per entry of `TaneStats::counters`,
+//! plus the per-level `TaneStats::level_times` summed across jobs so
+//! `/metrics` shows where lattice time actually goes, level by level.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-use tane_core::TaneStats;
+use tane_core::{CounterValue, TaneStats, COUNTERS};
 use tane_util::Json;
 
 use crate::cache::CacheStats;
@@ -61,20 +61,10 @@ pub struct Metrics {
     first_level_count: AtomicU64,
     workers_total: usize,
     level_times: Mutex<Vec<LevelAgg>>,
-    disk_bytes_read: AtomicU64,
-    disk_bytes_written: AtomicU64,
-    store_evictions: AtomicU64,
-    store_pins: AtomicU64,
-    store_oversized_resident: AtomicU64,
-    parallel_grains: AtomicU64,
-    worker_steals: AtomicU64,
-    worker_parks: AtomicU64,
-    worker_spin_nanos: AtomicU64,
-    worker_busy_nanos: AtomicU64,
-    fetch_stall_nanos: AtomicU64,
+    /// `TaneStats::counters` aggregated over every finished search, in
+    /// table order (durations in nanoseconds).
+    search: [AtomicU64; COUNTERS],
     topk_searches: AtomicU64,
-    topk_bound_pruned: AtomicU64,
-    topk_improvements: AtomicU64,
 }
 
 impl Metrics {
@@ -99,47 +89,19 @@ impl Metrics {
             first_level_count: AtomicU64::new(0),
             workers_total,
             level_times: Mutex::new(Vec::new()),
-            disk_bytes_read: AtomicU64::new(0),
-            disk_bytes_written: AtomicU64::new(0),
-            store_evictions: AtomicU64::new(0),
-            store_pins: AtomicU64::new(0),
-            store_oversized_resident: AtomicU64::new(0),
-            parallel_grains: AtomicU64::new(0),
-            worker_steals: AtomicU64::new(0),
-            worker_parks: AtomicU64::new(0),
-            worker_spin_nanos: AtomicU64::new(0),
-            worker_busy_nanos: AtomicU64::new(0),
-            fetch_stall_nanos: AtomicU64::new(0),
+            search: [const { AtomicU64::new(0) }; COUNTERS],
             topk_searches: AtomicU64::new(0),
-            topk_bound_pruned: AtomicU64::new(0),
-            topk_improvements: AtomicU64::new(0),
         }
     }
 
     /// Folds one finished search into the aggregates.
     pub fn record_search(&self, stats: &TaneStats) {
-        self.disk_bytes_read
-            .fetch_add(stats.disk_bytes_read, Ordering::Relaxed);
-        self.disk_bytes_written
-            .fetch_add(stats.disk_bytes_written, Ordering::Relaxed);
-        self.store_evictions
-            .fetch_add(stats.store_evictions, Ordering::Relaxed);
-        self.store_pins
-            .fetch_add(stats.store_pins, Ordering::Relaxed);
-        self.store_oversized_resident
-            .fetch_add(stats.oversized_resident, Ordering::Relaxed);
-        self.parallel_grains
-            .fetch_add(stats.parallel_grains, Ordering::Relaxed);
-        self.worker_steals
-            .fetch_add(stats.worker_steals, Ordering::Relaxed);
-        self.worker_parks
-            .fetch_add(stats.worker_parks, Ordering::Relaxed);
-        self.worker_spin_nanos
-            .fetch_add(stats.worker_spin.as_nanos() as u64, Ordering::Relaxed);
-        self.worker_busy_nanos
-            .fetch_add(stats.worker_busy.as_nanos() as u64, Ordering::Relaxed);
-        self.fetch_stall_nanos
-            .fetch_add(stats.fetch_stall.as_nanos() as u64, Ordering::Relaxed);
+        for (agg, c) in self.search.iter().zip(stats.counters()) {
+            match c.value {
+                CounterValue::Peak(v) => agg.fetch_max(v, Ordering::Relaxed),
+                v => agg.fetch_add(v.raw(), Ordering::Relaxed),
+            };
+        }
         let mut levels = self.level_times.lock().unwrap_or_else(|e| e.into_inner());
         if levels.len() < stats.level_times.len() {
             levels.resize(stats.level_times.len(), LevelAgg::default());
@@ -150,15 +112,10 @@ impl Metrics {
         }
     }
 
-    /// Folds one finished *ranked* search into the top-k aggregates (the
-    /// shared counters go through [`record_search`](Self::record_search) as
-    /// for any other search).
-    pub fn record_topk(&self, stats: &TaneStats) {
+    /// Counts one finished *ranked* search (its counters go through
+    /// [`record_search`](Self::record_search) as for any other search).
+    pub fn record_topk(&self) {
         self.topk_searches.fetch_add(1, Ordering::Relaxed);
-        self.topk_bound_pruned
-            .fetch_add(stats.topk_bound_pruned, Ordering::Relaxed);
-        self.topk_improvements
-            .fetch_add(stats.topk_improvements, Ordering::Relaxed);
     }
 
     /// Records the end of one connection that served `served` requests.
@@ -179,6 +136,8 @@ impl Metrics {
     /// and passed in: `(depth, capacity)` and a [`CacheStats`] snapshot.
     pub fn render(&self, queue: (usize, usize), cache: CacheStats) -> Json {
         let n = |v: u64| Json::Num(v as f64);
+        let load = |a: &AtomicU64| n(a.load(Ordering::Relaxed));
+        let load_usize = |a: &AtomicUsize| Json::Num(a.load(Ordering::Relaxed) as f64);
         let levels: Vec<Json> = {
             let level_times = self.level_times.lock().unwrap_or_else(|e| e.into_inner());
             level_times
@@ -193,29 +152,28 @@ impl Metrics {
                 })
                 .collect()
         };
+        let mut search = vec![("level_times".to_string(), Json::Arr(levels))];
+        let counters = TaneStats::default().counters();
+        search.extend(counters.iter().zip(&self.search).map(|(c, agg)| {
+            let value = c.value.with_raw(agg.load(Ordering::Relaxed));
+            (c.key(), value.to_json())
+        }));
+        search.push(("topk_searches".into(), load(&self.topk_searches)));
+        let first_level = match self.first_level_count.load(Ordering::Relaxed) {
+            0 => 0.0,
+            count => self.first_level_nanos.load(Ordering::Relaxed) as f64 / count as f64 / 1e9,
+        };
         Json::obj([
             ("uptime_secs", Json::Num(self.start.elapsed().as_secs_f64())),
-            (
-                "requests_total",
-                n(self.requests_total.load(Ordering::Relaxed)),
-            ),
+            ("requests_total", load(&self.requests_total)),
             (
                 "connections",
                 Json::obj([
-                    (
-                        "accepted",
-                        n(self.connections_total.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "active",
-                        Json::Num(self.connections_active.load(Ordering::Relaxed) as f64),
-                    ),
-                    ("shed", n(self.connections_shed.load(Ordering::Relaxed))),
-                    ("reused", n(self.connections_reused.load(Ordering::Relaxed))),
-                    (
-                        "max_requests_per_conn",
-                        n(self.requests_per_conn_max.load(Ordering::Relaxed)),
-                    ),
+                    ("accepted", load(&self.connections_total)),
+                    ("active", load_usize(&self.connections_active)),
+                    ("shed", load(&self.connections_shed)),
+                    ("reused", load(&self.connections_reused)),
+                    ("max_requests_per_conn", load(&self.requests_per_conn_max)),
                 ]),
             ),
             (
@@ -223,24 +181,21 @@ impl Metrics {
                 Json::obj([
                     ("depth", Json::Num(queue.0 as f64)),
                     ("capacity", Json::Num(queue.1 as f64)),
-                    ("rejected", n(self.jobs_rejected.load(Ordering::Relaxed))),
+                    ("rejected", load(&self.jobs_rejected)),
                 ]),
             ),
             (
                 "workers",
                 Json::obj([
                     ("total", Json::Num(self.workers_total as f64)),
-                    (
-                        "busy",
-                        Json::Num(self.workers_busy.load(Ordering::Relaxed) as f64),
-                    ),
+                    ("busy", load_usize(&self.workers_busy)),
                 ]),
             ),
             (
                 "jobs",
                 Json::obj([
-                    ("completed", n(self.jobs_completed.load(Ordering::Relaxed))),
-                    ("failed", n(self.jobs_failed.load(Ordering::Relaxed))),
+                    ("completed", load(&self.jobs_completed)),
+                    ("failed", load(&self.jobs_failed)),
                 ]),
             ),
             (
@@ -258,84 +213,14 @@ impl Metrics {
                     ("evicted_stale", n(cache.evicted_stale)),
                 ]),
             ),
-            (
-                "search",
-                Json::obj([
-                    ("level_times", Json::Arr(levels)),
-                    (
-                        "disk_bytes_read",
-                        n(self.disk_bytes_read.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "disk_bytes_written",
-                        n(self.disk_bytes_written.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "store",
-                        Json::obj([
-                            ("evictions", n(self.store_evictions.load(Ordering::Relaxed))),
-                            ("pins", n(self.store_pins.load(Ordering::Relaxed))),
-                            (
-                                "oversized_resident",
-                                n(self.store_oversized_resident.load(Ordering::Relaxed)),
-                            ),
-                        ]),
-                    ),
-                    (
-                        "parallel_grains",
-                        n(self.parallel_grains.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "worker_steals",
-                        n(self.worker_steals.load(Ordering::Relaxed)),
-                    ),
-                    ("worker_parks", n(self.worker_parks.load(Ordering::Relaxed))),
-                    (
-                        "worker_spin_secs",
-                        Json::Num(self.worker_spin_nanos.load(Ordering::Relaxed) as f64 / 1e9),
-                    ),
-                    (
-                        "worker_busy_secs",
-                        Json::Num(self.worker_busy_nanos.load(Ordering::Relaxed) as f64 / 1e9),
-                    ),
-                    (
-                        "fetch_stall_secs",
-                        Json::Num(self.fetch_stall_nanos.load(Ordering::Relaxed) as f64 / 1e9),
-                    ),
-                    (
-                        "topk",
-                        Json::obj([
-                            ("searches", n(self.topk_searches.load(Ordering::Relaxed))),
-                            (
-                                "bound_pruned",
-                                n(self.topk_bound_pruned.load(Ordering::Relaxed)),
-                            ),
-                            (
-                                "improvements",
-                                n(self.topk_improvements.load(Ordering::Relaxed)),
-                            ),
-                        ]),
-                    ),
-                ]),
-            ),
+            ("search", Json::Obj(search)),
             (
                 "stream",
                 Json::obj([
-                    ("streams", n(self.streams_total.load(Ordering::Relaxed))),
-                    (
-                        "levels_streamed",
-                        n(self.levels_streamed.load(Ordering::Relaxed)),
-                    ),
-                    ("stream_bytes", n(self.stream_bytes.load(Ordering::Relaxed))),
-                    ("first_level_latency_secs", {
-                        let count = self.first_level_count.load(Ordering::Relaxed);
-                        let nanos = self.first_level_nanos.load(Ordering::Relaxed);
-                        Json::Num(if count == 0 {
-                            0.0
-                        } else {
-                            nanos as f64 / count as f64 / 1e9
-                        })
-                    }),
+                    ("streams", load(&self.streams_total)),
+                    ("levels_streamed", load(&self.levels_streamed)),
+                    ("stream_bytes", load(&self.stream_bytes)),
+                    ("first_level_latency_secs", Json::Num(first_level)),
                 ]),
             ),
         ])
@@ -347,24 +232,44 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    /// The number at a dotted path of the `/metrics` document.
+    fn at(doc: &Json, path: &str) -> f64 {
+        let value = path.split('.').try_fold(doc, |j, key| j.get(key));
+        value
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("{path}"))
+    }
+
+    fn assert_near(doc: &Json, path: &str, want: f64) {
+        let got = at(doc, path);
+        assert!((got - want).abs() < 1e-9, "{path}: {got} != {want}");
+    }
+
     #[test]
     fn render_shape_and_aggregation() {
         let m = Metrics::new(4);
         m.requests_total.fetch_add(3, Ordering::Relaxed);
         m.jobs_completed.fetch_add(2, Ordering::Relaxed);
-        let mut stats = TaneStats::default();
-        stats.level_times = vec![Duration::from_millis(10), Duration::from_millis(5)];
-        stats.disk_bytes_written = 1024;
-        stats.store_evictions = 7;
-        stats.store_pins = 9;
-        stats.oversized_resident = 1;
-        stats.parallel_grains = 12;
-        stats.worker_steals = 3;
-        stats.worker_parks = 5;
-        stats.worker_spin = Duration::from_millis(2);
-        stats.worker_busy = Duration::from_millis(40);
+        let mut stats = TaneStats {
+            level_times: vec![Duration::from_millis(10), Duration::from_millis(5)],
+            products: 40,
+            disk_bytes_written: 1024,
+            store_evictions: 7,
+            store_pins: 9,
+            oversized_resident: 1,
+            parallel_workers: 2,
+            parallel_grains: 12,
+            worker_steals: 3,
+            worker_parks: 5,
+            worker_spin: Duration::from_millis(2),
+            worker_busy: Duration::from_millis(40),
+            topk_improvements: 6,
+            ..TaneStats::default()
+        };
         m.record_search(&stats);
+        m.record_topk();
         stats.level_times = vec![Duration::from_millis(10)];
+        stats.parallel_workers = 4;
         m.record_search(&stats);
 
         m.connections_total.fetch_add(2, Ordering::Relaxed);
@@ -382,83 +287,49 @@ mod tests {
             evicted_stale: 4,
         };
         let doc = m.render((2, 64), cache);
-        assert_eq!(doc.get("requests_total").unwrap().as_usize(), Some(3));
-        assert_eq!(
-            doc.get("queue").unwrap().get("depth").unwrap().as_usize(),
-            Some(2)
-        );
-        assert_eq!(
-            doc.get("workers").unwrap().get("total").unwrap().as_usize(),
-            Some(4)
-        );
-        assert_eq!(
-            doc.get("cache").unwrap().get("hits").unwrap().as_usize(),
-            Some(5)
-        );
-        assert_eq!(
-            doc.get("cache")
-                .unwrap()
-                .get("evictions")
-                .unwrap()
-                .as_usize(),
-            Some(2)
-        );
-        assert!(
-            (doc.get("cache")
-                .unwrap()
-                .get("evicted_compute_secs")
-                .unwrap()
-                .as_f64()
-                .unwrap()
-                - 0.25)
-                .abs()
-                < 1e-12
-        );
-        assert_eq!(
-            doc.get("cache")
-                .unwrap()
-                .get("evicted_stale")
-                .unwrap()
-                .as_usize(),
-            Some(4)
-        );
-        let conns = doc.get("connections").unwrap();
-        assert_eq!(conns.get("accepted").unwrap().as_usize(), Some(2));
-        assert_eq!(conns.get("reused").unwrap().as_usize(), Some(1));
-        assert_eq!(conns.get("shed").unwrap().as_usize(), Some(0));
-        assert_eq!(
-            conns.get("max_requests_per_conn").unwrap().as_usize(),
-            Some(9)
-        );
-        let search = doc.get("search").unwrap();
-        assert_eq!(
-            search.get("disk_bytes_written").unwrap().as_usize(),
-            Some(2048)
-        );
-        assert_eq!(search.get("parallel_grains").unwrap().as_usize(), Some(24));
-        let store = search.get("store").unwrap();
-        assert_eq!(store.get("evictions").unwrap().as_usize(), Some(14));
-        assert_eq!(store.get("pins").unwrap().as_usize(), Some(18));
-        assert_eq!(store.get("oversized_resident").unwrap().as_usize(), Some(2));
-        assert_eq!(search.get("worker_steals").unwrap().as_usize(), Some(6));
-        assert_eq!(search.get("worker_parks").unwrap().as_usize(), Some(10));
-        let spin = search.get("worker_spin_secs").unwrap().as_f64().unwrap();
-        assert!((spin - 0.004).abs() < 1e-9, "{spin}");
-        let busy = search.get("worker_busy_secs").unwrap().as_f64().unwrap();
-        assert!((busy - 0.080).abs() < 1e-9, "{busy}");
-        assert_eq!(search.get("fetch_stall_secs").unwrap().as_f64(), Some(0.0));
-        let levels = search.get("level_times").unwrap().as_array().unwrap();
+        for (path, want) in [
+            ("requests_total", 3.0),
+            ("queue.depth", 2.0),
+            ("workers.total", 4.0),
+            ("cache.hits", 5.0),
+            ("cache.evictions", 2.0),
+            ("cache.evicted_compute_secs", 0.25),
+            ("cache.evicted_stale", 4.0),
+            ("connections.accepted", 2.0),
+            ("connections.reused", 1.0),
+            ("connections.shed", 0.0),
+            ("connections.max_requests_per_conn", 9.0),
+            // Counts and times sum over the two searches...
+            ("search.disk_bytes_written", 2048.0),
+            ("search.parallel_grains", 24.0),
+            ("search.products", 80.0),
+            ("search.store_evictions", 14.0),
+            ("search.store_pins", 18.0),
+            ("search.oversized_resident", 2.0),
+            ("search.worker_steals", 6.0),
+            ("search.worker_parks", 10.0),
+            ("search.worker_spin_secs", 0.004),
+            ("search.worker_busy_secs", 0.080),
+            ("search.fetch_stall_secs", 0.0),
+            ("search.topk_improvements", 12.0),
+            ("search.topk_searches", 1.0),
+            // ...peaks by maximum.
+            ("search.parallel_workers", 4.0),
+            ("stream.levels_streamed", 0.0),
+            ("stream.first_level_latency_secs", 0.0),
+        ] {
+            assert_near(&doc, path, want);
+        }
+        // Every table counter is reported, under its discover-stats key.
+        for c in TaneStats::default().counters() {
+            at(&doc, &format!("search.{}", c.key()));
+        }
+        let levels = doc.get("search").unwrap().get("level_times").unwrap();
+        let levels = levels.as_array().unwrap();
         assert_eq!(levels.len(), 2);
-        assert_eq!(levels[0].get("runs").unwrap().as_usize(), Some(2));
-        assert_eq!(levels[1].get("runs").unwrap().as_usize(), Some(1));
-        let l1 = levels[0].get("total_secs").unwrap().as_f64().unwrap();
-        assert!((l1 - 0.020).abs() < 1e-9);
-        let stream = doc.get("stream").unwrap();
-        assert_eq!(stream.get("levels_streamed").unwrap().as_usize(), Some(0));
-        assert_eq!(
-            stream.get("first_level_latency_secs").unwrap().as_f64(),
-            Some(0.0)
-        );
+        assert_near(&levels[0], "runs", 2.0);
+        assert_near(&levels[1], "runs", 1.0);
+        assert_near(&levels[0], "total_secs", 0.020);
         // Valid JSON end to end.
         assert!(Json::parse(&doc.render()).is_ok());
     }
@@ -482,14 +353,8 @@ mod tests {
                 evicted_stale: 0,
             },
         );
-        let stream = doc.get("stream").unwrap();
-        assert_eq!(stream.get("levels_streamed").unwrap().as_usize(), Some(7));
-        assert_eq!(stream.get("stream_bytes").unwrap().as_usize(), Some(4096));
-        let mean = stream
-            .get("first_level_latency_secs")
-            .unwrap()
-            .as_f64()
-            .unwrap();
-        assert!((mean - 0.020).abs() < 1e-9, "{mean}");
+        assert_near(&doc, "stream.levels_streamed", 7.0);
+        assert_near(&doc, "stream.stream_bytes", 4096.0);
+        assert_near(&doc, "stream.first_level_latency_secs", 0.020);
     }
 }

@@ -397,7 +397,7 @@ fn run_job(shared: &Shared, job: Job) -> JobResult {
         Ok(result) => {
             shared.metrics.record_search(&result.stats);
             if matches!(job.mode, DiscoverMode::TopK(_)) {
-                shared.metrics.record_topk(&result.stats);
+                shared.metrics.record_topk();
             }
             Ok(Arc::new(shape_result(
                 &job.relation,
@@ -475,62 +475,21 @@ fn render_trailer(dataset: &str, result: &CachedResult) -> String {
 fn shape_result(relation: &Relation, result: &TaneResult, levels: Vec<String>) -> CachedResult {
     let names = relation.schema().names();
     let s = &result.stats;
-    let mut stat_members = vec![
-        ("levels", Json::Num(s.levels as f64)),
-        ("sets_total", Json::Num(s.sets_total as f64)),
-        ("sets_max_level", Json::Num(s.sets_max_level as f64)),
-        ("validity_tests", Json::Num(s.validity_tests as f64)),
-        ("keys_found", Json::Num(s.keys_found as f64)),
-        ("products", Json::Num(s.products as f64)),
-        (
-            "g3_exact_computations",
-            Json::Num(s.g3_exact_computations as f64),
-        ),
-        (
-            "g3_decided_by_bounds",
-            Json::Num(s.g3_decided_by_bounds as f64),
-        ),
-        ("disk_reads", Json::Num(s.disk_reads as f64)),
-        ("disk_writes", Json::Num(s.disk_writes as f64)),
-        ("disk_bytes_read", Json::Num(s.disk_bytes_read as f64)),
-        ("disk_bytes_written", Json::Num(s.disk_bytes_written as f64)),
-        ("store_evictions", Json::Num(s.store_evictions as f64)),
-        ("store_pins", Json::Num(s.store_pins as f64)),
-        ("oversized_resident", Json::Num(s.oversized_resident as f64)),
-        ("parallel_workers", Json::Num(s.parallel_workers as f64)),
-        ("parallel_grains", Json::Num(s.parallel_grains as f64)),
-        ("worker_steals", Json::Num(s.worker_steals as f64)),
-        ("worker_parks", Json::Num(s.worker_parks as f64)),
-        ("worker_spin_secs", Json::Num(s.worker_spin.as_secs_f64())),
-        ("worker_busy_secs", Json::Num(s.worker_busy.as_secs_f64())),
-        ("fetch_stall_secs", Json::Num(s.fetch_stall.as_secs_f64())),
-        (
-            "level_secs",
-            Json::Arr(
-                s.level_times
-                    .iter()
-                    .map(|t| Json::Num(t.as_secs_f64()))
-                    .collect(),
-            ),
-        ),
-        ("elapsed_secs", Json::Num(s.elapsed.as_secs_f64())),
-    ];
-    // Ranked runs only: the pruning counters and the final heap. Gated on
-    // the mode so exact/approximate responses — /v1 and legacy alike —
-    // keep their historical bytes.
-    if result.ranked.is_some() {
-        stat_members.push(("topk_bound_pruned", Json::Num(s.topk_bound_pruned as f64)));
-        stat_members.push(("topk_dominated", Json::Num(s.topk_dominated as f64)));
-        stat_members.push(("topk_improvements", Json::Num(s.topk_improvements as f64)));
-        stat_members.push((
-            "topk_early_exit_level",
-            match s.topk_early_exit_level {
-                Some(l) => Json::Num(l as f64),
-                None => Json::Null,
-            },
-        ));
+    // Ranked-only counters and the early-exit level appear on ranked runs
+    // alone, so exact/approximate responses — /v1 and legacy alike — keep
+    // their historical keys.
+    let ranked = result.ranked.is_some();
+    let mut stats = s.to_json(ranked);
+    if let Json::Obj(members) = &mut stats {
+        let level_secs = s.level_times.iter().map(|t| Json::Num(t.as_secs_f64()));
+        members.push(("level_secs".into(), Json::Arr(level_secs.collect())));
+        if ranked {
+            let exit = s
+                .topk_early_exit_level
+                .map_or(Json::Null, |l| Json::Num(l as f64));
+            members.push(("topk_early_exit_level".into(), exit));
+        }
     }
-    let stats = Json::obj(stat_members);
     CachedResult {
         fds: result.fds.iter().map(|fd| fd.display_with(names)).collect(),
         keys: result

@@ -288,9 +288,9 @@ fn ranked_stream_interleaves_monotone_topk_events() {
     // Ranked searches surface in /v1/metrics.
     conn.send("GET", "/v1/metrics", b"", true);
     let (_, metrics) = conn.recv();
-    let topk = metrics.get("search").unwrap().get("topk").unwrap();
-    assert_eq!(topk.get("searches").unwrap().as_usize(), Some(1));
-    assert!(topk.get("improvements").unwrap().as_usize().unwrap() >= ranked.len());
+    let search = metrics.get("search").unwrap();
+    assert_eq!(search.get("topk_searches").unwrap().as_usize(), Some(1));
+    assert!(search.get("topk_improvements").unwrap().as_usize().unwrap() >= ranked.len());
 
     server.shutdown();
     server.wait();

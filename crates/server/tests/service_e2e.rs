@@ -155,7 +155,7 @@ fn distinct_queries_get_distinct_cache_entries() {
         "different key, no reuse"
     );
     // Approximate discovery at eps > 0 finds at least the exact cover.
-    assert!(fds_of(&approx).len() >= 1);
+    assert!(!fds_of(&approx).is_empty());
     assert_ne!(fds_of(&exact), fds_of(&approx));
 
     // Storage backend is normalized out of the key: a disk query is served
@@ -253,7 +253,7 @@ fn overload_sheds_with_429_not_memory() {
     }
     let results: Vec<u16> = statuses.into_iter().map(|t| t.join().unwrap()).collect();
     assert!(
-        results.iter().any(|&s| s == 429),
+        results.contains(&429),
         "queue overflow must answer 429, got {results:?}"
     );
     assert!(

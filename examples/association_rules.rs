@@ -27,7 +27,7 @@ fn main() {
     // Show the strongest rules about product prices.
     println!("\nrules predicting product_price (top 8 by support):");
     let mut price_rules: Vec<_> = rules.iter().filter(|r| r.rhs_attr == 4).collect();
-    price_rules.sort_by(|a, b| b.support_rows.cmp(&a.support_rows));
+    price_rules.sort_by_key(|r| std::cmp::Reverse(r.support_rows));
     for rule in price_rules.iter().take(8) {
         println!("  {}", rule.display_with(&names));
     }

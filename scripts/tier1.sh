@@ -21,7 +21,7 @@ if [[ "${1:-}" == "--full" ]]; then
 fi
 
 cargo fmt --check
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 # Workspace invariants (unsafe-audit, determinism, lock-discipline,
 # lock-graph, atomics-audit, error-hygiene): zero violations, enforced
 # by the in-tree analyzer — including the derived lock-order graph and
