@@ -71,7 +71,12 @@ pub fn run(scale: Scale) -> Vec<DiskScalingRow> {
         let s = &row.stats;
         // The determinism contract, checked on every machine: the worker
         // count may not change the answer, the I/O the search performs or
-        // any other thread-invariant counter.
+        // any other thread-invariant counter. A grid that reads nothing
+        // back would compare zeros, so it must read.
+        assert!(
+            s.disk_reads > 0,
+            "threads={threads} read no partition back from disk"
+        );
         let invariant = (row.n, s.invariant_counters());
         match &reference {
             None => reference = Some(invariant),

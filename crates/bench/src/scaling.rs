@@ -21,9 +21,11 @@ use tane_util::Stopwatch;
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Disk cache for the scaling runs: small enough that the generated
-/// dataset's lattice spills and the concurrent fetches carry real
-/// traffic.
-pub(crate) const SCALING_CACHE_BYTES: usize = 8 << 20;
+/// dataset's lattice spills and parents are read back from their
+/// segments, so the concurrent fetches carry real traffic. At 8 MiB the
+/// fast grid wrote 1,929 partitions and read back none, and its I/O
+/// identity check compared zeros; at 2 MiB it reads 262.
+pub(crate) const SCALING_CACHE_BYTES: usize = 2 << 20;
 
 /// The generated workload: wide and row-heavy so level-1 construction,
 /// products, and (on disk) fetches all cross the parallel work gate.
@@ -146,6 +148,12 @@ pub fn run(scale: Scale) -> Vec<ScalingRow> {
                 stats: result.stats,
             };
             let s = &row.stats;
+            // Identical I/O down the column means something only if some
+            // partition is read back.
+            assert!(
+                matches!(storage, Storage::Memory) || s.disk_reads > 0,
+                "{label}/threads={threads} read no partition back from disk"
+            );
             let invariant = (row.n, s.invariant_counters());
             match &reference {
                 None => reference = Some(invariant),

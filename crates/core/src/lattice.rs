@@ -109,6 +109,17 @@ pub struct NextLevelCandidate {
     pub parent_b: AttrSet,
 }
 
+impl NextLevelCandidate {
+    /// The prefix block the candidate was joined in: the `ℓ−1` attributes
+    /// both parents share. A level-ℓ set `Y` joins only inside the block
+    /// `Y \ max(Y)`, and [`generate_next_level`] emits each block's
+    /// candidates as one contiguous run, so once a block's run is done its
+    /// members are parents of nothing else at this level.
+    pub fn prefix(&self) -> AttrSet {
+        self.parent_a.intersect(self.parent_b)
+    }
+}
+
 /// GENERATE-NEXT-LEVEL (paper, Section 5): prefix join over live entries,
 /// keeping candidates whose every ℓ-subset is live in `level`.
 pub fn generate_next_level(level: &Level) -> Vec<NextLevelCandidate> {
@@ -281,6 +292,45 @@ mod tests {
         rev.reverse();
         let l2 = level_of(&rev);
         assert_eq!(generate_next_level(&l1), generate_next_level(&l2));
+    }
+
+    /// The invariant the exact-mode search frees partitions by: both join
+    /// parents of every candidate lie in the candidate's prefix block, and
+    /// each block's candidates form one contiguous run in candidate order.
+    #[test]
+    fn join_parents_stay_inside_contiguous_prefix_blocks() {
+        let mut rng = tane_util::SplitMix64::new(0x1a77_1ce5);
+        for _ in 0..500 {
+            let n_attrs = 2 + rng.usize_below(8);
+            let size = 1 + rng.usize_below(n_attrs.min(5));
+            let keep = rng.f64_unit();
+            let mut l = Level::new();
+            for bits in 0u64..1 << n_attrs {
+                if bits.count_ones() as usize == size && rng.bool_with_p(keep) {
+                    let mut e = entry(AttrSet::from_bits(bits));
+                    e.deleted = rng.bool_with_p(0.15);
+                    l.push(e);
+                }
+            }
+            let next = generate_next_level(&l);
+            let mut finished: Vec<AttrSet> = Vec::new();
+            for (i, c) in next.iter().enumerate() {
+                assert_eq!(c.set, c.parent_a.union(c.parent_b));
+                for parent in [c.parent_a, c.parent_b] {
+                    assert!(l.get(parent).is_some_and(|e| !e.deleted));
+                    let block = parent.without(parent.max_attr().unwrap());
+                    assert_eq!(block, c.prefix(), "{parent:?} joined outside its block");
+                }
+                if i > 0 && next[i - 1].prefix() != c.prefix() {
+                    finished.push(next[i - 1].prefix());
+                    assert!(
+                        !finished.contains(&c.prefix()),
+                        "block {:?} split into two runs",
+                        c.prefix()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

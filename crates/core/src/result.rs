@@ -100,7 +100,12 @@ pub struct TaneStats {
     pub disk_bytes_read: u64,
     /// Bytes spilled to disk (disk storage only).
     pub disk_bytes_written: u64,
-    /// Peak bytes of partitions resident in memory (approximate).
+    /// Peak bytes of partitions resident in memory (approximate: the
+    /// stores' own byte counts). Sampled when each level finishes (its
+    /// [`LevelEvent::partitions_bytes`]) and after each chunk of the next
+    /// level's products is stored, before that chunk's parents are freed,
+    /// which is where the resident set peaks (DESIGN §5). Every sample is
+    /// a pure function of the search, so the value is thread-invariant.
     pub peak_resident_bytes: usize,
     /// Partitions evicted from the disk store's resident cache
     /// (disk storage only).

@@ -60,7 +60,7 @@ use tane_partition::{
     PartitionStore, ReadPhase, RefineScratch, SegmentStore, StrippedPartition,
 };
 use tane_relation::Relation;
-use tane_util::{adaptive_grain, canonical_fds, AttrSet, Fd, Stopwatch, WorkerPool};
+use tane_util::{adaptive_grain, canonical_fds, AttrSet, Fd, FxHashSet, Stopwatch, WorkerPool};
 
 /// Discovers all minimal non-trivial functional dependencies of `relation`
 /// (the paper's central task, Section 1).
@@ -317,6 +317,35 @@ impl Store {
 /// not item count, so that is what the gate must estimate.
 const PARALLEL_MIN_ELEMENTS: usize = 1 << 15;
 
+/// Where [`next_level`] frees parents as it goes, a product chunk holds
+/// about `1/PRODUCT_CHUNKS` of the level's estimated elements, but at least
+/// [`PARALLEL_MIN_ELEMENTS`], so each chunk still crosses the pool's gate.
+/// The peak is then about one level plus one chunk.
+const PRODUCT_CHUNKS: usize = 16;
+
+/// End of the product chunk that starts at `start`: the first prefix-block
+/// boundary at which the chunk's estimated elements reach `target`, or the
+/// end of the level. Both join parents of a candidate lie in its prefix
+/// block, so no later chunk reads a parent of this one.
+fn chunk_end(
+    candidates: &[NextLevelCandidate],
+    plan: &[Refinement],
+    start: usize,
+    target: usize,
+) -> usize {
+    let mut est = 0usize;
+    for i in start..plan.len() {
+        est = est.saturating_add(plan[i].est);
+        let block_ends = candidates
+            .get(i + 1)
+            .is_none_or(|next| next.prefix() != candidates[i].prefix());
+        if est >= target && block_ends {
+            return i + 1;
+        }
+    }
+    plan.len()
+}
+
 /// The per-search parallel runtime: one persistent [`WorkerPool`], one
 /// refinement scratch per worker, and the level-1 label columns every
 /// refinement and exact `g3` probes — all allocated once per run and
@@ -344,6 +373,8 @@ struct Refinement {
     set: AttrSet,
     parent: AttrSet,
     attr: usize,
+    /// `‖π̂_parent‖` from index metadata: the product's work estimate.
+    est: usize,
 }
 
 impl ParallelRuntime {
@@ -380,43 +411,25 @@ impl ParallelRuntime {
         out
     }
 
-    /// The level's products, in candidate order.
+    /// The level's refinement plan, in candidate order.
     ///
     /// Each product is a column-probe refinement of *one* join parent —
     /// the one with fewer stored elements, chosen from index metadata
-    /// before any partition is touched, so the choice (and with it every
-    /// disk counter) is identical at every thread count. Each product
-    /// fetches its parent from the shared store (`get` is `&self`): disk
-    /// reads from different workers proceed concurrently as positioned
-    /// reads of sealed segments, coalesced by the store's single-flight
-    /// cache. The whole batch runs inside one *read phase*, so every
-    /// distinct parent costs exactly one disk read no matter how many
-    /// workers ask or in what order (DESIGN §13).
-    fn products(
-        &self,
-        store: &Store,
-        candidates: &[NextLevelCandidate],
-    ) -> Result<Vec<(AttrSet, StrippedPartition)>, TaneError> {
-        if candidates.is_empty() {
-            // No phase either: closing one runs an eviction sweep.
-            return Ok(Vec::new());
-        }
-        // Parent choice and work estimate from index metadata alone — no
-        // partition is touched before the phase opens, so both are I/O-free
-        // and identical at every thread count.
-        let mut est = 0usize;
-        let plan: Vec<Refinement> = candidates
+    /// before any partition is touched, so the choice, every work estimate
+    /// and every chunk boundary drawn from them (and with those every disk
+    /// counter) are I/O-free and identical at every thread count.
+    fn plan(store: &Store, candidates: &[NextLevelCandidate]) -> Vec<Refinement> {
+        candidates
             .iter()
             .map(|c| {
                 let (hint_a, hint_b) = (
                     store.elements_hint(c.parent_a),
                     store.elements_hint(c.parent_b),
                 );
-                est += hint_a.min(hint_b);
-                let parent = if hint_a <= hint_b {
-                    c.parent_a
+                let (parent, est) = if hint_a <= hint_b {
+                    (c.parent_a, hint_a)
                 } else {
-                    c.parent_b
+                    (c.parent_b, hint_b)
                 };
                 let attr = c
                     .set
@@ -427,9 +440,26 @@ impl ParallelRuntime {
                     set: c.set,
                     parent,
                     attr,
+                    est,
                 }
             })
-            .collect();
+            .collect()
+    }
+
+    /// The products of one run of the plan, in plan order.
+    ///
+    /// Each product fetches its parent from the shared store (`get` is
+    /// `&self`): disk reads from different workers proceed concurrently as
+    /// positioned reads of sealed segments, coalesced by the store's
+    /// single-flight cache. The whole run is one *read phase*, so every
+    /// distinct parent costs exactly one disk read no matter how many
+    /// workers ask or in what order (DESIGN §13).
+    fn products(
+        &self,
+        store: &Store,
+        plan: &[Refinement],
+    ) -> Result<Vec<(AttrSet, StrippedPartition)>, TaneError> {
+        let est = plan.iter().map(|step| step.est).sum();
         let _phase = store.begin_read_phase();
         // Gathered in candidate order, so on failure the error reported is
         // the first failing *candidate*, whichever worker hit one first.
@@ -576,8 +606,8 @@ fn run(
             rank.as_mut(),
         )?;
 
-        // Partitions of level ℓ−1 are no longer needed: validity tests for
-        // this level are done and products for level ℓ+1 use level ℓ.
+        // This level's validity tests were the last readers of level ℓ−1.
+        // In exact mode on the memory store its products freed it already.
         for e in prev_level.entries() {
             store.remove(e.set);
         }
@@ -616,11 +646,13 @@ fn run(
             }
             _ => {}
         }
+        let partitions_bytes = store.resident_bytes();
+        stats.peak_resident_bytes = stats.peak_resident_bytes.max(partitions_bytes);
         on_level(LevelEvent {
             level: ell,
             new_minimal_fds: canonical_fds(disc.fds[fds_before..].to_vec()),
             level_time: level_sw.elapsed(),
-            partitions_bytes: store.resident_bytes(),
+            partitions_bytes,
         });
         // Ranked mode: one heap snapshot per level on which the heap
         // changed, after the level line — the stream's anytime result.
@@ -644,35 +676,11 @@ fn run(
             break;
         }
 
-        // Each next-level partition refines one parent by a label column
-        // per Lemma 3 — on the pool when the level's estimated element
-        // volume warrants it, with every worker fetching its own parents.
-        let produced = runtime.products(&store, &generate_next_level(&current))?;
-        let mut next = Level::new();
-        stats.products += produced.len();
-        // Entries join `next` in exact candidate order: entry order within
-        // a level feeds the found-so-far minimality checks.
-        for (set, pi) in produced {
-            next.push(LevelEntry {
-                set,
-                cplus: r_all,
-                error_rows: pi.error_rows(),
-                is_superkey: pi.is_superkey(),
-                deleted: false,
-            });
-            store.put(set, pi)?;
-        }
-        stats.peak_resident_bytes = stats.peak_resident_bytes.max(store.resident_bytes());
+        let next = next_level(&runtime, &mut store, &current, mode, r_all, &mut stats)?;
         // Level ℓ+1 is fully written: seal its segment (records become
         // immutable for concurrent reads) and release level ℓ's cache
         // pins — level-at-a-time eviction of the grandparent level.
         store.seal_level()?;
-
-        // Partitions of deleted level-ℓ entries never participate in
-        // products (deleted sets do not join); free them now.
-        for e in current.entries().iter().filter(|e| e.deleted) {
-            store.remove(e.set);
-        }
 
         prev_level = current;
         current = next;
@@ -718,6 +726,83 @@ fn run(
         ranked: None,
         stats,
     })
+}
+
+/// GENERATE-NEXT-LEVEL and the products of level ℓ+1: stores its
+/// partitions and returns its entries, in candidate order.
+///
+/// Exact mode reads nothing of level ℓ after these products but its
+/// summaries, so on the memory store the products run in chunks that end on
+/// prefix-block boundaries and each chunk's parents leave as soon as its
+/// children are stored (DESIGN §5). Approx and top-k modes read π̂_{X\A} in
+/// level ℓ+1's decide pass and keep level ℓ. The disk store's cache budget
+/// already caps its residency, and every read phase it ends runs an
+/// eviction sweep, so it keeps one chunk per level (DESIGN §13).
+fn next_level(
+    runtime: &ParallelRuntime,
+    store: &mut Store,
+    current: &Level,
+    mode: Mode,
+    r_all: AttrSet,
+    stats: &mut TaneStats,
+) -> Result<Level, TaneError> {
+    // Each next-level partition refines one parent by a label column per
+    // Lemma 3 — on the pool when a chunk's estimated element volume
+    // warrants it, with every worker fetching its own parents.
+    let candidates = generate_next_level(current);
+    let plan = ParallelRuntime::plan(store, &candidates);
+    let free_parents = matches!(mode, Mode::Exact) && matches!(store, Store::Memory(_));
+    let parents: FxHashSet<AttrSet> = if free_parents {
+        plan.iter().map(|step| step.parent).collect()
+    } else {
+        FxHashSet::default()
+    };
+    // A PRUNE-deleted set joins into nothing and is no subset of any
+    // candidate, so nothing reads its partition again; in exact mode on
+    // the memory store neither does anything read a set that no product
+    // refines.
+    for e in current.entries() {
+        if e.deleted || (free_parents && !parents.contains(&e.set)) {
+            store.remove(e.set);
+        }
+    }
+    let chunk_elements = if free_parents {
+        let level_elements: usize = plan.iter().map(|step| step.est).sum();
+        (level_elements / PRODUCT_CHUNKS).max(PARALLEL_MIN_ELEMENTS)
+    } else {
+        usize::MAX
+    };
+    let mut next = Level::new();
+    let mut start = 0;
+    while start < plan.len() {
+        let end = chunk_end(&candidates, &plan, start, chunk_elements);
+        let produced = runtime.products(store, &plan[start..end])?;
+        stats.products += produced.len();
+        // Entries join `next` in exact candidate order: entry order
+        // within a level feeds the found-so-far minimality checks.
+        for (set, pi) in produced {
+            next.push(LevelEntry {
+                set,
+                cplus: r_all,
+                error_rows: pi.error_rows(),
+                is_superkey: pi.is_superkey(),
+                deleted: false,
+            });
+            store.put(set, pi)?;
+        }
+        // Sampled after the chunk's puts and before its frees: the
+        // resident maximum of the level.
+        stats.peak_resident_bytes = stats.peak_resident_bytes.max(store.resident_bytes());
+        if free_parents {
+            // The chunk ends on a block boundary, so these parents
+            // have no children left to refine.
+            for step in &plan[start..end] {
+                store.remove(step.parent);
+            }
+        }
+        start = end;
+    }
+    Ok(next)
 }
 
 /// COMPUTE-DEPENDENCIES(L_ℓ) — paper, Section 5.
